@@ -1937,24 +1937,61 @@ impl Bdd {
     /// Number of satisfying assignments of `f` over all declared variables,
     /// or `None` if the count overflows `u128`.
     pub fn checked_sat_count(&self, f: NodeRef) -> Option<u128> {
-        let nvars = self.num_vars() as u32;
-        let mut memo: HashMap<NodeRef, u128> = HashMap::new();
-        let below_root = self.sat_count_rec(f, &mut memo)?;
-        // Scale by the variables above f's top level.
-        let top = if f.is_terminal() {
-            nvars
-        } else {
-            self.level_of_node(f)
-        };
-        shl_checked(below_root, top)
+        self.count_over_levels(f, &vec![true; self.num_vars()])
     }
 
-    /// Counts assignments over the variables strictly below (and including)
-    /// the node's level; `None` on overflow. Memoized on the full handle
+    /// Number of satisfying assignments of `f` over the variable set
+    /// `vars` alone, or `None` if that count overflows `u128` or `f`
+    /// depends on a variable outside `vars`. Variables outside `vars` are
+    /// not counted, so a set over a few variables of a large manager
+    /// counts exactly even when the count over every variable would not
+    /// fit.
+    pub fn checked_sat_count_over(&self, f: NodeRef, vars: &[Var]) -> Option<u128> {
+        let mut counted = vec![false; self.num_vars()];
+        for &v in vars {
+            counted[self.level(v)] = true;
+        }
+        self.count_over_levels(f, &counted)
+    }
+
+    /// Shared body of the sat counts: `counted[level]` says whether the
+    /// variable at that level is counted. `before[l]` is the number of
+    /// counted levels above `l`, so an edge from level `a` to level `b`
+    /// skips `before[b] - before[a] - 1` free counted variables.
+    fn count_over_levels(&self, f: NodeRef, counted: &[bool]) -> Option<u128> {
+        let mut before = Vec::with_capacity(counted.len() + 1);
+        let mut n = 0u32;
+        before.push(0);
+        for &c in counted {
+            n += u32::from(c);
+            before.push(n);
+        }
+        let mut memo: HashMap<NodeRef, u128> = HashMap::new();
+        let below_root = self.sat_count_rec(f, &before, &mut memo)?;
+        // Scale by the counted variables above f's top level.
+        shl_checked(below_root, before[self.level_or_end(f)])
+    }
+
+    /// The level of `f`'s root, or `num_vars()` for a terminal.
+    fn level_or_end(&self, f: NodeRef) -> usize {
+        if f.is_terminal() {
+            self.num_vars()
+        } else {
+            self.level_of_node(f) as usize
+        }
+    }
+
+    /// Counts assignments over the counted variables at and below the
+    /// node's level; `None` on overflow or on a node whose variable is not
+    /// counted. Memoized on the full handle
     /// (complement bit included): a node and its complement count different
     /// functions.
-    fn sat_count_rec(&self, f: NodeRef, memo: &mut HashMap<NodeRef, u128>) -> Option<u128> {
-        let nvars = self.num_vars() as u32;
+    fn sat_count_rec(
+        &self,
+        f: NodeRef,
+        before: &[u32],
+        memo: &mut HashMap<NodeRef, u128>,
+    ) -> Option<u128> {
         if f.is_false() {
             return Some(0);
         }
@@ -1966,20 +2003,17 @@ impl Bdd {
         }
         let i = f.idx();
         let p = f.parity();
-        let level = self.level_of_var[self.var_col[i] as usize];
+        let level = self.level_of_var[self.var_col[i] as usize] as usize;
+        if before[level + 1] == before[level] {
+            return None;
+        }
         let lo = self.lo_col[i].xor_parity(p);
         let hi = self.hi_col[i].xor_parity(p);
-        let clevel = |child: NodeRef| {
-            if child.is_terminal() {
-                nvars
-            } else {
-                self.level_of_node(child)
-            }
-        };
-        let lc = self.sat_count_rec(lo, memo)?;
-        let hc = self.sat_count_rec(hi, memo)?;
-        let wlo = shl_checked(lc, clevel(lo) - level - 1)?;
-        let whi = shl_checked(hc, clevel(hi) - level - 1)?;
+        let skipped = |child: NodeRef| before[self.level_or_end(child)] - before[level] - 1;
+        let lc = self.sat_count_rec(lo, before, memo)?;
+        let hc = self.sat_count_rec(hi, before, memo)?;
+        let wlo = shl_checked(lc, skipped(lo))?;
+        let whi = shl_checked(hc, skipped(hi))?;
         let c = wlo.checked_add(whi)?;
         memo.insert(f, c);
         Some(c)
@@ -2602,6 +2636,44 @@ mod tests {
         let nfx = b.not(fx);
         let taut = b.or(fx, nfx);
         assert_eq!(b.checked_sat_count(taut), None);
+    }
+
+    #[test]
+    fn sat_count_over_a_subset_of_a_wide_manager_is_exact() {
+        // 200 variables: every count over all of them overflows u128, but
+        // a function over a few of them counts exactly over its own set.
+        let mut b = Bdd::new();
+        let vars: Vec<Var> = (0..200).map(|i| b.new_var(format!("v{i}"))).collect();
+        let (a, c, z) = (b.var(vars[3]), b.var(vars[50]), b.var(vars[199]));
+        let ac = b.and(a, c);
+        let nz = b.not(z);
+        let f = b.or(ac, nz);
+        assert_eq!(b.checked_sat_count(f), None, "2^200-scale count overflows");
+        // Over {v3, v50, v199}: ¬v199 gives 4, v199 ∧ v3 ∧ v50 gives 1.
+        // The set's order in the slice does not matter.
+        let own = [vars[199], vars[3], vars[50]];
+        assert_eq!(b.checked_sat_count_over(f, &own), Some(5));
+        let nf = b.not(f);
+        assert_eq!(b.checked_sat_count_over(nf, &own), Some(3));
+        // Two extra free variables, one between the support levels and
+        // one below them, each double the count.
+        let wider = [vars[3], vars[50], vars[51], vars[120], vars[199]];
+        assert_eq!(b.checked_sat_count_over(f, &wider), Some(20));
+        assert_eq!(b.checked_sat_count_over(nf, &wider), Some(12));
+        assert_eq!(b.checked_sat_count_over(NodeRef::TRUE, &wider), Some(32));
+        assert_eq!(b.checked_sat_count_over(NodeRef::FALSE, &wider), Some(0));
+        // A set missing a support variable has no meaningful count.
+        assert_eq!(b.checked_sat_count_over(f, &[vars[3], vars[50]]), None);
+        // Exactly at the u128 edge: 127 counted variables fit, 128 do not.
+        assert_eq!(
+            b.checked_sat_count_over(NodeRef::TRUE, &vars[..127]),
+            Some(1u128 << 127)
+        );
+        assert_eq!(b.checked_sat_count_over(NodeRef::TRUE, &vars[..128]), None);
+        assert_eq!(
+            b.checked_sat_count_over(ac, &vars[..127]),
+            Some(1u128 << 125)
+        );
     }
 
     #[test]

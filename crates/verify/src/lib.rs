@@ -85,15 +85,18 @@ pub struct VerifyOptions {
     /// Reordering changes only node counts and wall time, never verdicts
     /// or reached-state counts. `usize::MAX` disables it.
     pub reorder_threshold: usize,
-    /// Store the frontier onion rings during the fixpoint so property
-    /// violations and deadlocks get full decoded counterexample traces
-    /// instead of witness cubes. Off by default: rings cost extra live
-    /// nodes and are useless without a trace consumer. Ring storage
-    /// never changes reached sets, iteration counts, or verdicts.
+    /// Store the onion rings (one per image step that found new states)
+    /// during the fixpoint so property violations and deadlocks get full
+    /// decoded counterexample traces instead of witness cubes. Off by
+    /// default: rings cost extra live nodes and are useless without a
+    /// trace consumer. Ring storage never changes reached sets,
+    /// iteration counts, or verdicts.
     pub trace_rings: bool,
-    /// Upper bound on stored rings; past it the prefix stays valid but
-    /// deeper states degrade to cube-only witnesses. Rings are also the
-    /// first thing shed under node-budget pressure.
+    /// Upper bound on stored rings, counted in image steps that found new
+    /// states (ring 0, the initial state, included) — not in fixpoint
+    /// iterations. Past it the prefix stays valid but later states
+    /// degrade to cube-only witnesses. Rings are also the first thing
+    /// shed under node-budget pressure.
     pub max_trace_rings: usize,
 }
 
@@ -144,11 +147,11 @@ impl Error for VerifyError {}
 /// Counters from one traversal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyStats {
-    /// Breadth-first iterations to the fixpoint.
+    /// Chained iterations to the fixpoint (each walks every partition once).
     pub iterations: u64,
     /// Individual partition images computed.
     pub image_steps: u64,
-    /// Frontier BDD size after each iteration.
+    /// Minimized frontier BDD size after each iteration.
     pub frontier_sizes: Vec<u64>,
     /// Largest frontier BDD.
     pub peak_frontier_nodes: u64,
@@ -167,7 +170,8 @@ pub struct VerifyStats {
     /// Frontier-minimization `constrain` applications (one per iteration).
     pub constrain_calls: u64,
     /// Frontier nodes shed by `constrain` minimization, summed over all
-    /// iterations (raw frontier size minus minimized size).
+    /// iterations (size of the states found in the iteration minus the
+    /// minimized frontier size).
     pub constrain_reduced_nodes: u64,
     /// Sifting passes triggered between fixpoint iterations by
     /// [`VerifyOptions::reorder_threshold`].
@@ -717,14 +721,67 @@ mod tests {
         let w = report.deadlock.expect("redelivered `x` is stuck forever");
         assert_eq!(w.description, vec!["oneshot@spent pending[x]".to_owned()]);
         let t = w.trace.expect("rings stored => decoded trace");
-        // deliver x, fire armed->spent (clears x), deliver x again: the
-        // shortest path into the deadlock has three hops.
+        // deliver x, fire armed->spent (clears x), deliver x again: three
+        // hops, one per ring the fixpoint stored after the initial state.
         assert_eq!(t.len(), 3);
         let end = t.replay(&net).expect("trace must replay cleanly");
         assert_eq!(end.ctrl, vec![1]);
         assert_eq!(end.pending, vec![vec![true]]);
         assert!(t.render(&net).contains("deliver x"));
         assert!(t.render(&net).contains("react oneshot #0 (armed -> spent)"));
+    }
+
+    /// Checks the chained onion invariant on the stored rings: ring 0 is
+    /// the initial state, the rings are non-empty and pairwise disjoint,
+    /// their union is the reached set, and every ring lies inside the
+    /// one-step image of the union of the rings before it.
+    fn assert_ring_invariant(net: &Network) {
+        let opts = VerifyOptions {
+            trace_rings: true,
+            ..VerifyOptions::default()
+        };
+        let mut v = Verifier::run(net, &opts).unwrap();
+        let rings = v.rings.take().expect("rings stored");
+        assert!(rings.complete, "{}: ring cap hit", net.name());
+        let model = &mut v.model;
+        assert_eq!(rings.rings[0], model.init);
+        let mut union = NodeRef::FALSE;
+        for (i, &ring) in rings.rings.iter().enumerate() {
+            assert!(!ring.is_false(), "{}: ring {i} is empty", net.name());
+            let overlap = model.bdd.and(ring, union);
+            assert!(overlap.is_false(), "{}: ring {i} overlaps", net.name());
+            if i > 0 {
+                let mut img = NodeRef::FALSE;
+                for p in 0..model.partitions() {
+                    let step = reach::image(model, p, union);
+                    img = model.bdd.or(img, step);
+                }
+                let outside = model.bdd.and_not(ring, img);
+                assert!(
+                    outside.is_false(),
+                    "{}: ring {i} has a state without an earlier predecessor",
+                    net.name()
+                );
+            }
+            union = model.bdd.or(union, ring);
+        }
+        assert_eq!(union, v.reached, "{}: rings do not cover", net.name());
+    }
+
+    #[test]
+    fn chained_rings_partition_reached_with_earlier_predecessors() {
+        for net in [toggler_pair(), token_ring(), oneshot()] {
+            assert_ring_invariant(&net);
+        }
+        let spec = polis_core::random::RandomSpec::default();
+        for seed in 0..6u64 {
+            let n = 2 + (seed as usize % 3);
+            assert_ring_invariant(&polis_core::random::random_network(
+                n,
+                &spec,
+                0x9e37_79b9_7f4a_7c15 ^ seed,
+            ));
+        }
     }
 
     #[test]

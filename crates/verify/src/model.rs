@@ -316,6 +316,12 @@ impl NetworkModel {
         model
     }
 
+    /// Number of partitions in traversal order: every environment
+    /// delivery (indexed like `env_steps`), then every machine reaction.
+    pub fn partitions(&self) -> usize {
+        self.env_steps.len() + self.react_steps.len()
+    }
+
     /// Every node the model must keep alive across reclamation: the
     /// partitioned relation, the initial state, the precomputed
     /// quantification cubes, and the enabling conditions. The cubes are

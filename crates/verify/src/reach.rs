@@ -1,21 +1,39 @@
-//! Frontier-based symbolic reachability to a fixpoint.
+//! Chained symbolic reachability to a fixpoint.
 //!
-//! Classic BFS image computation: `Reached₀ = Frontier₀ = Init`, then
-//! repeatedly `New = ⋃ Image(step, Frontier) ∖ Reached` over the
-//! partitioned relation until the frontier empties. Each image applies
-//! the early-quantification schedule pre-computed in the step (tests
-//! right after `χ`, actions right after the buffer updates, the consumed
-//! current-state block last) as fused relational products
-//! ([`Bdd::and_exists`]): the conjunct of the frontier with a relation
-//! part is quantified on the fly and never materialized.
+//! `Reached₀ = Frontier₀ = Init`. Each iteration walks the disjunctive
+//! partitions in their fixed order — every environment delivery, then
+//! every machine reaction — and *chains* them (Roig/Cortadella/Pastor
+//! 1995): partition *j* images `From = Frontier ∪ Found`, where `Found`
+//! holds the states partitions *0..j* discovered earlier in this same
+//! iteration. Each step's `Raw = Image(step, From) ∖ Reached` joins
+//! `Reached`, `From` and `Found` at once, so a state one machine produces
+//! is consumed by the next machine without waiting a whole iteration.
+//! GALS composition is pure interleaving, so an event that plain BFS
+//! needs one iteration per hop to ripple down a pipeline crosses every
+//! stage the partition order visits downstream of it in one iteration.
+//! The iteration ends when the last partition has run; the fixpoint is
+//! the first iteration that finds nothing.
+//!
+//! Chained reached sets contain the breadth-first ones after every
+//! iteration: by the end of iteration *i* every state reached before it
+//! has been imaged by every partition, so every state within *i* steps
+//! of `Init` is reached. Chaining therefore never needs more iterations
+//! than BFS, and the final reachable set is the same.
+//!
+//! Each image applies the early-quantification schedule pre-computed in
+//! the step (tests right after `χ`, actions right after the buffer
+//! updates, the consumed current-state block last) as fused relational
+//! products ([`Bdd::and_exists`]): the conjunct of the frontier with a
+//! relation part is quantified on the fly and never materialized.
 //!
 //! Two further reductions keep the working set small:
 //!
-//! * the frontier handed to the next sweep is minimized against the
-//!   reached set's don't-care space with [`Bdd::constrain`] — any
-//!   function between `New ∖ Reached` and `Reached'` yields the same
-//!   image frontier, so the generalized cofactor picks a smaller
-//!   representative without changing any per-iteration reached set;
+//! * the frontier handed to the next iteration is `Found` minimized
+//!   against the iteration-start reached set with [`Bdd::constrain`].
+//!   Every state of that don't-care space has already been imaged by
+//!   every partition, and its images lie inside `Reached`, so the
+//!   generalized cofactor picks a smaller representative without
+//!   changing any step's new-state set;
 //! * when live nodes outgrow [`VerifyOptions::reorder_threshold`], the
 //!   manager is sifted between iterations under the model's group
 //!   constraints (flag cur/next rails and ctrl cur+next blocks stay
@@ -52,6 +70,15 @@ fn react_image(bdd: &mut Bdd, step: &ReactStep, from: NodeRef) -> NodeRef {
     bdd.rename(a, &step.rename)
 }
 
+/// Image of `from` under partition `p` of the traversal order (see
+/// [`NetworkModel::partitions`]).
+pub(crate) fn image(model: &mut NetworkModel, p: usize, from: NodeRef) -> NodeRef {
+    match p.checked_sub(model.env_steps.len()) {
+        None => env_image(&mut model.bdd, &model.env_steps[p], from),
+        Some(mi) => react_image(&mut model.bdd, &model.react_steps[mi], from),
+    }
+}
+
 /// Collections never fire while the arena is below this level, so small
 /// and mid-size models keep their op caches warm for the whole traversal
 /// (every seed example and the relay chains up to width 8 stay under it).
@@ -76,7 +103,6 @@ const GC_REGROW: usize = 4;
 ///
 /// `rings` are the stored trace onion (shed first when the live set alone
 /// busts the budget — traces degrade before the traversal aborts).
-#[allow(clippy::too_many_arguments)] // three distinct root classes + the sheddable rings
 fn enforce_budget(
     bdd: &mut Bdd,
     opts: &VerifyOptions,
@@ -84,7 +110,6 @@ fn enforce_budget(
     gc_trigger: &mut usize,
     persistent: &[NodeRef],
     live: &[NodeRef],
-    working: &[NodeRef],
     rings: &mut Option<TraceRings>,
 ) -> Result<(), VerifyError> {
     let allocated = bdd.allocated_nodes();
@@ -93,7 +118,6 @@ fn enforce_budget(
     }
     let mut roots = persistent.to_vec();
     roots.extend_from_slice(live);
-    roots.extend_from_slice(working);
     if let Some(r) = rings {
         roots.extend_from_slice(r.roots());
     }
@@ -107,7 +131,6 @@ fn enforce_budget(
         *rings = None;
         let mut roots = persistent.to_vec();
         roots.extend_from_slice(live);
-        roots.extend_from_slice(working);
         bdd.gc(&roots);
         stats.mid_reach_collections += 1;
         live_now = bdd.allocated_nodes();
@@ -123,12 +146,13 @@ fn enforce_budget(
     Ok(())
 }
 
-/// Runs the traversal to a fixpoint, filling `stats`, and returns the
-/// reachable set over the model's current-state variables plus — when
-/// [`VerifyOptions::trace_rings`] is on — the frontier onion rings the
-/// trace walker consumes. Ring storage never changes the reached sets,
-/// iteration counts, or verdicts: rings are the `raw` new-state sets the
-/// loop computes anyway, merely kept as extra GC/sift roots.
+/// Runs the chained traversal to a fixpoint, filling `stats`, and returns
+/// the reachable set over the model's current-state variables plus —
+/// when [`VerifyOptions::trace_rings`] is on — the onion rings the trace
+/// walker consumes: one ring per image step that found new states.
+/// Ring storage never changes the reached sets, iteration counts, or
+/// verdicts: rings are the `raw` new-state sets the loop computes anyway,
+/// merely kept as extra GC/sift roots.
 pub(crate) fn fixpoint(
     model: &mut NetworkModel,
     opts: &VerifyOptions,
@@ -153,86 +177,49 @@ pub(crate) fn fixpoint(
     let mut gc_trigger = GC_FLOOR;
     while !frontier.is_false() {
         stats.iterations += 1;
-        let mut imgs: Vec<NodeRef> =
-            Vec::with_capacity(model.env_steps.len() + model.react_steps.len());
-        for step in &model.env_steps {
-            let img = env_image(&mut model.bdd, step, frontier);
-            imgs.push(img);
+        let start = reached;
+        let mut from = frontier;
+        let mut found = NodeRef::FALSE;
+        for p in 0..model.partitions() {
+            let img = image(model, p, from);
             stats.image_steps += 1;
-            enforce_budget(
-                &mut model.bdd,
-                opts,
-                stats,
-                &mut gc_trigger,
-                &persistent,
-                &[reached, frontier],
-                &imgs,
-                &mut rings,
-            )?;
-        }
-        for step in &model.react_steps {
-            let img = react_image(&mut model.bdd, step, frontier);
-            imgs.push(img);
-            stats.image_steps += 1;
-            enforce_budget(
-                &mut model.bdd,
-                opts,
-                stats,
-                &mut gc_trigger,
-                &persistent,
-                &[reached, frontier],
-                &imgs,
-                &mut rings,
-            )?;
-        }
-        // Balanced union instead of a left fold: adjacent partitions
-        // share machine locality, and the tree never drags one big
-        // accumulator across every remaining image.
-        while imgs.len() > 1 {
-            let mut next = Vec::with_capacity(imgs.len().div_ceil(2));
-            for pair in imgs.chunks(2) {
-                next.push(if pair.len() == 2 {
-                    model.bdd.or(pair[0], pair[1])
-                } else {
-                    pair[0]
-                });
+            let raw = model.bdd.and_not(img, reached);
+            if !raw.is_false() {
+                reached = model.bdd.or(reached, raw);
+                from = model.bdd.or(from, raw);
+                found = model.bdd.or(found, raw);
+                if let Some(r) = &mut rings {
+                    // `raw` is exactly the states this step reached first;
+                    // `from` lies inside the earlier rings, so each ring
+                    // has its predecessors strictly below it. Past the cap
+                    // the prefix stays valid (the walker just cannot serve
+                    // targets beyond it).
+                    if r.rings.len() < opts.max_trace_rings {
+                        r.rings.push(raw);
+                    } else {
+                        r.complete = false;
+                    }
+                }
             }
-            imgs = next;
             enforce_budget(
                 &mut model.bdd,
                 opts,
                 stats,
                 &mut gc_trigger,
                 &persistent,
-                &[reached, frontier],
-                &imgs,
+                &[reached, from, found, start],
                 &mut rings,
             )?;
         }
-        let new = imgs.pop().unwrap_or(NodeRef::FALSE);
-        // `raw = new ∖ reached` is the exact frontier; any superset of
-        // it inside the updated reached set images to the same new states,
-        // so constrain it against the pre-update complement to let it
-        // shrink into the don't-care space (reached sets stay
-        // bit-identical).
-        let unseen = model.bdd.not(reached);
-        let raw = model.bdd.and_not(new, reached);
-        if let Some(r) = &mut rings {
-            // `raw` is exactly the states first reached this iteration —
-            // the next onion ring. Past the cap the prefix stays valid
-            // (the walker just cannot serve targets beyond it).
-            if r.rings.len() < opts.max_trace_rings {
-                r.rings.push(raw);
-            } else {
-                r.complete = false;
-            }
-        }
-        reached = model.bdd.or(reached, raw);
-        frontier = model.bdd.constrain(raw, unseen);
+        // Every state of `start` has now been imaged by every partition
+        // and its images lie in `reached`, so `start` is don't-care space
+        // for the next frontier: constrain `found` into it.
+        let unseen = model.bdd.not(start);
+        frontier = model.bdd.constrain(found, unseen);
         stats.constrain_calls += 1;
-        let raw_size = model.bdd.size(&[raw]) as u64;
+        let found_size = model.bdd.size(&[found]) as u64;
         let fsize = model.bdd.size(&[frontier]) as u64;
-        stats.constrain_reduced_nodes += raw_size.saturating_sub(fsize);
+        stats.constrain_reduced_nodes += found_size.saturating_sub(fsize);
         stats.frontier_sizes.push(fsize);
         stats.peak_frontier_nodes = stats.peak_frontier_nodes.max(fsize);
         enforce_budget(
@@ -242,7 +229,6 @@ pub(crate) fn fixpoint(
             &mut gc_trigger,
             &persistent,
             &[reached, frontier],
-            &[],
             &mut rings,
         )?;
         if model.bdd.allocated_nodes() > next_reorder {
@@ -277,16 +263,9 @@ fn diff_stats(base: &polis_bdd::BddStats, now: &polis_bdd::BddStats) -> (u64, u6
     )
 }
 
-/// Number of distinct product states in `set`: the satisfying-assignment
-/// count scaled down by the auxiliary (non-state) variables the set does
-/// not depend on.
-pub(crate) fn count_states(model: &NetworkModel, set: NodeRef) -> Option<u128> {
-    let total = model.bdd.checked_sat_count(set)?;
-    let aux = model.bdd.num_vars() - model.state_vars.len();
-    if aux >= 128 {
-        // More auxiliary variables than u128 bits: the scaled count is 0
-        // or the total overflowed anyway; give up rather than mis-shift.
-        return None;
-    }
-    Some(total >> aux)
+/// Number of distinct product states in `set`, counted over the model's
+/// current-state variables (which contain the support of every reached
+/// or frontier set).
+fn count_states(model: &NetworkModel, set: NodeRef) -> Option<u128> {
+    model.bdd.checked_sat_count_over(set, &model.state_vars)
 }

@@ -1,24 +1,29 @@
 //! Decoded counterexample traces, reconstructed by a ring-by-ring
-//! preimage walk over the reachability fixpoint's frontier onions.
+//! preimage walk over the reachability fixpoint's onion rings.
 //!
-//! The fixpoint optionally stores each iteration's *exact* new-state set
-//! (`raw = New ∖ Reached`, before `constrain` minimization) as an onion
-//! ring; ring 0 is the initial state. The rings partition the reachable
-//! set, and every state of ring *i* has a predecessor in some ring
-//! *k < i* under one environment delivery or one machine reaction — the
-//! minimized frontier handed to iteration *i* is always contained in
-//! `⋃_{k<i} ring_k`.
+//! The chained fixpoint optionally stores the *exact* new-state set of
+//! every image step that found any (`raw = Image(step, From) ∖ Reached`)
+//! as an onion ring; ring 0 is the initial state. The rings partition the
+//! reachable set, and every state of ring *i* has a predecessor in some
+//! ring *k < i* under one environment delivery or one machine reaction —
+//! the set `From` a step images is always contained in `⋃_{k<i} ring_k`
+//! (the frontier plus the rings this iteration already stored).
 //!
 //! [`walk_trace`] exploits this: given a target set, it picks a full
-//! product-state minterm in the earliest ring intersecting the target,
-//! then repeatedly computes the *preimage of that one state point* under
-//! each partition (the existing [`Bdd::and_exists`] kernel with the
-//! variable rails swapped) and intersects with earlier rings until ring
-//! 0 is reached. Each hop is decoded on the spot into machine control
-//! states, buffer fills, the delivered signal or the fired transition
-//! (identified by replaying the machine's declaration-order priority
-//! under the picked data-test valuation) — a human-readable trace
-//! instead of a witness cube.
+//! product-state minterm in the earliest ring intersecting the target.
+//! Each hop computes the *preimage of that one state point* under every
+//! partition once (the existing [`Bdd::and_exists`] kernel with the
+//! variable rails swapped), steps to the earliest ring meeting any of
+//! them, and repeats until ring 0 is reached. Each hop is decoded on the
+//! spot into machine control states, buffer fills, the delivered signal
+//! or the fired transition (identified by replaying the machine's
+//! declaration-order priority under the picked data-test valuation) — a
+//! human-readable trace instead of a witness cube.
+//!
+//! Rings are image steps, not breadth-first layers, so a decoded trace is
+//! a valid execution into the target but not necessarily a shortest one:
+//! a state found late in an iteration may sit several rings above a
+//! state of equal distance found early.
 //!
 //! [`CexTrace::replay`] is the matching BDD-free oracle: it re-executes
 //! the decoded steps on an explicit product state under the GALS
@@ -33,15 +38,15 @@ use polis_cfsm::{Action, Network};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Frontier onion rings captured during one reachability run.
-/// `rings[0]` is the initial state; `rings[i]` the states first reached
-/// at iteration `i`. When `complete` is false the tail was dropped (ring
-/// cap or budget pressure) and only cube-level witnesses are possible
-/// for states beyond the stored prefix.
+/// Onion rings captured during one reachability run. `rings[0]` is the
+/// initial state; `rings[i]` the states first reached by the `i`-th image
+/// step that found any. When `complete` is false the tail was dropped
+/// (ring cap or budget pressure) and only cube-level witnesses are
+/// possible for states beyond the stored prefix.
 pub(crate) struct TraceRings {
-    /// Disjoint new-state sets, in iteration order.
+    /// Disjoint new-state sets, in image-step order.
     pub rings: Vec<NodeRef>,
-    /// Whether every fixpoint iteration stored its ring.
+    /// Whether every productive image step stored its ring.
     pub complete: bool,
 }
 
@@ -383,10 +388,32 @@ fn decode_react(
     })
 }
 
+/// Preimage of the single state `t` under partition `p` of the traversal
+/// order (see [`NetworkModel::partitions`]). A delivery's
+/// preimage of a point whose delivered flags are all 1 frees exactly
+/// those flags; a point with some delivered flag 0 has none.
+fn partition_preimage(model: &mut NetworkModel, p: usize, t: NodeRef) -> NodeRef {
+    match p.checked_sub(model.env_steps.len()) {
+        None => {
+            let cube = model.env_steps[p].cube;
+            if model.bdd.constrain(t, cube).is_false() {
+                NodeRef::FALSE
+            } else {
+                model.bdd.exists_cube(t, cube)
+            }
+        }
+        Some(mi) => react_preimage(&mut model.bdd, &model.react_steps[mi], t),
+    }
+}
+
 /// Walks a violating/witness state in `target` back to the initial state
 /// through the stored rings, decoding every hop. Returns `None` when the
 /// target misses every *stored* ring (only possible on an incomplete
 /// ring set) or, defensively, if a hop cannot be decoded.
+///
+/// Each hop steps to the earliest ring holding a predecessor, trying
+/// partitions in traversal order within that ring (see the module docs
+/// on why the result need not be a shortest trace).
 pub(crate) fn walk_trace(
     model: &mut NetworkModel,
     net: &Network,
@@ -395,7 +422,6 @@ pub(crate) fn walk_trace(
 ) -> Option<CexTrace> {
     let state_vars = model.state_vars.clone();
     let mut preimage_nodes = 0u64;
-    // Earliest ring hit = shortest available trace skeleton.
     let (mut level, hit) = rings.rings.iter().enumerate().find_map(|(i, &r)| {
         let x = model.bdd.and(r, target);
         (!x.is_false()).then_some((i, x))
@@ -404,47 +430,46 @@ pub(crate) fn walk_trace(
     let mut rev_states = vec![decode_state(model, &point)];
     let mut rev_steps: Vec<TraceStep> = Vec::new();
     let signals = net.primary_inputs();
+    let env_steps = model.env_steps.len();
+    let partitions = model.partitions();
     while level > 0 {
-        let mut hop: Option<(usize, StatePoint, TraceStep)> = None;
-        'search: for k in 0..level {
-            // Environment deliveries: the preimage of a point whose
-            // delivered flags are all 1 frees exactly those flags.
-            for (si, step) in model.env_steps.iter().enumerate() {
-                let on_cube = model.bdd.constrain(point.minterm, step.cube);
-                if on_cube.is_false() {
-                    continue; // some delivered flag is 0 in the point
-                }
-                let pre = model.bdd.exists_cube(point.minterm, step.cube);
-                preimage_nodes += model.bdd.size(&[pre]) as u64;
-                let cand = model.bdd.and(pre, rings.rings[k]);
-                if !cand.is_false() {
-                    let prev = pick_state(&mut model.bdd, cand, &state_vars)?;
-                    let s = TraceStep::Deliver {
-                        signal: signals[si].clone(),
-                    };
-                    hop = Some((k, prev, s));
-                    break 'search;
-                }
-            }
-            for mi in 0..model.react_steps.len() {
-                let step = &model.react_steps[mi];
-                let pre = react_preimage(&mut model.bdd, step, point.minterm);
-                preimage_nodes += model.bdd.size(&[pre]) as u64;
-                let cand = model.bdd.and(pre, rings.rings[k]);
-                if !cand.is_false() {
-                    let prev = pick_state(&mut model.bdd, cand, &state_vars)?;
-                    let inverse: Vec<(Var, Var)> =
-                        step.rename.iter().map(|&(n, c)| (c, n)).collect();
-                    let t_next = model.bdd.rename(point.minterm, &inverse);
-                    let s = decode_react(model, net, mi, &prev, t_next)?;
-                    hop = Some((k, prev, s));
-                    break 'search;
-                }
-            }
-        }
+        // A partition's preimage of the point does not depend on the
+        // ring it is matched against, so compute each one once per hop.
+        // The hop is the first (ring, partition) pair in ring-major order
+        // that intersects: the earliest ring meeting any preimage, then
+        // the first partition in traversal order meeting that ring.
+        let pre: Vec<NodeRef> = (0..partitions)
+            .map(|p| partition_preimage(model, p, point.minterm))
+            .collect();
+        preimage_nodes += pre
+            .iter()
+            .map(|&x| model.bdd.size(&[x]) as u64)
+            .sum::<u64>();
+        let any = pre
+            .iter()
+            .fold(NodeRef::FALSE, |acc, &x| model.bdd.or(acc, x));
         // Every ring-i state has a predecessor in an earlier ring; a miss
         // here would be a model bug, so fail soft into the cube witness.
-        let (k, prev, s) = hop?;
+        let k = (0..level).find(|&k| !model.bdd.and(any, rings.rings[k]).is_false())?;
+        let (p, cand) = pre.iter().enumerate().find_map(|(p, &x)| {
+            let cand = model.bdd.and(x, rings.rings[k]);
+            (!cand.is_false()).then_some((p, cand))
+        })?;
+        let prev = pick_state(&mut model.bdd, cand, &state_vars)?;
+        let s = match p.checked_sub(env_steps) {
+            None => TraceStep::Deliver {
+                signal: signals[p].clone(),
+            },
+            Some(mi) => {
+                let inverse: Vec<(Var, Var)> = model.react_steps[mi]
+                    .rename
+                    .iter()
+                    .map(|&(n, c)| (c, n))
+                    .collect();
+                let t_next = model.bdd.rename(point.minterm, &inverse);
+                decode_react(model, net, mi, &prev, t_next)?
+            }
+        };
         rev_states.push(decode_state(model, &prev));
         rev_steps.push(s);
         point = prev;
