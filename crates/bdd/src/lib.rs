@@ -14,12 +14,12 @@
 //! * a [`Bdd`] manager with hash-consed nodes, an ITE operation cache, and
 //!   the usual Boolean operations ([`Bdd::and`], [`Bdd::or`], [`Bdd::not`],
 //!   [`Bdd::xor`], [`Bdd::ite`], ...);
-//! * cofactor/restriction ([`Bdd::restrict`], [`Bdd::cofactors`]) and
+//! * cofactor/restriction ([`Bdd::restrict`]) and
 //!   smoothing / existential quantification ([`Bdd::exists`]) used to build
 //!   characteristic functions (Section II-C);
 //! * a relational-product kernel for symbolic reachability:
-//!   single-pass cube quantification ([`Bdd::exists_cube`],
-//!   [`Bdd::forall_cube`]), combined conjoin-and-quantify
+//!   single-pass cube quantification ([`Bdd::exists_cube`]), combined
+//!   conjoin-and-quantify
 //!   ([`Bdd::and_exists`], with its own dedicated cache), the generalized
 //!   cofactor ([`Bdd::constrain`]) and set difference ([`Bdd::and_not`]);
 //! * mark-and-sweep garbage collection ([`Bdd::gc`]);
@@ -36,7 +36,7 @@
 //! handle. Canonical form forbids complemented *then* (hi) edges — [`mk`]
 //! rewrites `(v, lo, ¬h)` into `¬(v, ¬lo, h)` — so a function and its
 //! negation share every node and [`Bdd::not`] is an O(1) bit flip that
-//! allocates nothing. `and`/`or`/`xor`/`iff`/`implies` all collapse onto one
+//! allocates nothing. `and`/`or`/`xor`/`iff`/`and_not` all collapse onto one
 //! normalized ITE, roughly halving live node count and doubling effective
 //! operation-cache capacity.
 //!
@@ -753,7 +753,7 @@ pub struct Bdd {
     andex_lookups: u64,
     /// Slot-memo + dedicated-cache hits by `and_exists`.
     andex_hits: u64,
-    /// Top-level `exists_cube`/`forall_cube` invocations.
+    /// Top-level `exists_cube` invocations.
     cube_quant_calls: u64,
 }
 
@@ -793,7 +793,7 @@ pub struct BddStats {
     pub andex_lookups: u64,
     /// Slot-memo + dedicated-cache hits by `and_exists`.
     pub andex_hits: u64,
-    /// Top-level `exists_cube`/`forall_cube` invocations.
+    /// Top-level `exists_cube` invocations.
     pub cube_quant_calls: u64,
 }
 
@@ -1164,7 +1164,7 @@ impl Bdd {
     ///
     /// Under complement edges a single normalization cascade folds the
     /// whole two-operand algebra onto canonical `(f, g, h)` triples: `and`,
-    /// `or`, `and_not`, `implies` and their operand-swapped / negated forms
+    /// `or`, `and_not` and their operand-swapped / negated forms
     /// all hash to the same cache entry, and so do `xor`/`iff`.
     pub fn ite(&mut self, f: NodeRef, g: NodeRef, h: NodeRef) -> NodeRef {
         // Terminal / identity cases.
@@ -1307,11 +1307,6 @@ impl Bdd {
         self.ite(f, g, g.complement())
     }
 
-    /// Implication (`f -> g`).
-    pub fn implies(&mut self, f: NodeRef, g: NodeRef) -> NodeRef {
-        self.ite(f, g, NodeRef::TRUE)
-    }
-
     /// Conjunction of all `fs`.
     pub fn and_all(&mut self, fs: impl IntoIterator<Item = NodeRef>) -> NodeRef {
         fs.into_iter()
@@ -1366,15 +1361,11 @@ impl Bdd {
         r.xor_parity(p)
     }
 
-    /// Both cofactors `(f|_{v=0}, f|_{v=1})` in one shared traversal.
+    /// Both cofactors `(f|_{v=0}, f|_{v=1})` in one shared traversal, the
+    /// pass `exists`/`forall` are routed through.
     ///
     /// Each node above `v`'s level is visited once (filling both restrict
-    /// memo slots), where two [`Bdd::restrict`] calls would visit it twice —
-    /// this is what `exists`/`forall` are routed through.
-    pub fn cofactors(&mut self, f: NodeRef, v: Var) -> (NodeRef, NodeRef) {
-        self.cofactors_rec(f, v.0)
-    }
-
+    /// memo slots), where two [`Bdd::restrict`] calls would visit it twice.
     fn cofactors_rec(&mut self, f: NodeRef, v: u32) -> (NodeRef, NodeRef) {
         if f.is_terminal() {
             return (f, f);
@@ -1413,8 +1404,8 @@ impl Bdd {
     /// Existential quantification (smoothing, Section II-C):
     /// `∃v. f = f|_{v=0} + f|_{v=1}`.
     ///
-    /// Both cofactors come from one shared [`Bdd::cofactors`] pass and the
-    /// result itself is memoized.
+    /// Both cofactors come from one shared traversal and the result itself
+    /// is memoized.
     pub fn exists(&mut self, f: NodeRef, v: Var) -> NodeRef {
         self.quant_one(f, v.0, true)
     }
@@ -1454,7 +1445,7 @@ impl Bdd {
 
     /// The positive cube (conjunction of positive literals) of `vs`, the
     /// canonical variable-set representation consumed by
-    /// [`Bdd::exists_cube`], [`Bdd::forall_cube`] and [`Bdd::and_exists`].
+    /// [`Bdd::exists_cube`] and [`Bdd::and_exists`].
     ///
     /// Built bottom-up in descending level order, so construction is O(k)
     /// `mk` calls with no ITE work. Duplicates are collapsed. The cube is an
@@ -1486,13 +1477,6 @@ impl Bdd {
     pub fn exists_cube(&mut self, f: NodeRef, cube: NodeRef) -> NodeRef {
         self.cube_quant_calls += 1;
         self.quant_cube_rec(f, cube, true)
-    }
-
-    /// Universal quantification of every cube variable in a single pass:
-    /// `∀ x₁…xₖ. f`. Dual of [`Bdd::exists_cube`].
-    pub fn forall_cube(&mut self, f: NodeRef, cube: NodeRef) -> NodeRef {
-        self.cube_quant_calls += 1;
-        self.quant_cube_rec(f, cube, false)
     }
 
     /// Parity shim of the cube quantifier: quantification dualizes through
@@ -2441,17 +2425,15 @@ mod tests {
     }
 
     #[test]
-    fn xor_iff_implies() {
+    fn xor_and_iff() {
         let (mut b, x, y, _) = setup3();
         let (fx, fy) = (b.var(x), b.var(y));
         let fxor = b.xor(fx, fy);
         let fiff = b.iff(fx, fy);
-        let fimp = b.implies(fx, fy);
         for bits in 0..4u32 {
             let assign = |v: Var| bits & (1 << v.0) != 0;
             assert_eq!(b.eval(fxor, assign), assign(x) ^ assign(y));
             assert_eq!(b.eval(fiff, assign), assign(x) == assign(y));
-            assert_eq!(b.eval(fimp, assign), !assign(x) | assign(y));
         }
         assert_eq!(fiff, b.not(fxor), "iff is xor's complement handle");
     }
@@ -2525,28 +2507,10 @@ mod tests {
     }
 
     #[test]
-    fn cofactors_match_restrict() {
-        let (mut b, x, y, z) = setup3();
-        let (fx, fy, fz) = (b.var(x), b.var(y), b.var(z));
-        let t = b.and(fx, fy);
-        let u = b.xor(fy, fz);
-        let f = b.or(t, u);
-        for root in [f, b.not(f)] {
-            for v in [x, y, z] {
-                let r0 = b.restrict(root, v, false);
-                let r1 = b.restrict(root, v, true);
-                b.clear_cache();
-                let (c0, c1) = b.cofactors(root, v);
-                assert_eq!((c0, c1), (r0, r1), "cofactors vs restrict at {v}");
-            }
-        }
-    }
-
-    #[test]
     fn shared_cofactor_pass_halves_visits() {
         // Build a function wide enough that the traversal count is
-        // meaningful, then compare two restrict sweeps against one
-        // cofactors sweep on a cold cache.
+        // meaningful, then compare two restrict sweeps against the one
+        // shared cofactor sweep `exists` makes, on a cold cache.
         let mut b = Bdd::new();
         let vars: Vec<Var> = (0..10).map(|i| b.new_var(format!("v{i}"))).collect();
         let mut f = NodeRef::FALSE;
@@ -2564,9 +2528,9 @@ mod tests {
         let two_pass_visits = b.stats().op_visits - before;
         b.clear_cache();
         let before = b.stats().op_visits;
-        let (c0, c1) = b.cofactors(f, v);
+        let e = b.exists(f, v);
         let one_pass_visits = b.stats().op_visits - before;
-        assert_eq!((c0, c1), (r0, r1));
+        assert_eq!(e, b.or(r0, r1));
         // Ideally one pass does half the visits of two; the lossy cache can
         // cost a few re-traversals, so assert a 25% drop at minimum.
         assert!(

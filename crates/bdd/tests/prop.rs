@@ -247,7 +247,7 @@ fn forall_is_and_of_cofactors() {
 }
 
 #[test]
-fn iff_and_implies_laws() {
+fn iff_is_mutual_implication() {
     for case in 0..CASES {
         let ea = case_expr(case);
         let eb = case_expr(case ^ 0xffff);
@@ -256,13 +256,12 @@ fn iff_and_implies_laws() {
         let fa = ea.build(&mut bdd, &vars);
         let fb = eb.build(&mut bdd, &vars);
         let iff = bdd.iff(fa, fb);
-        let imp_ab = bdd.implies(fa, fb);
-        let imp_ba = bdd.implies(fb, fa);
-        // (a <-> b) == (a -> b) && (b -> a), canonically.
+        let (na, nb) = (bdd.not(fa), bdd.not(fb));
+        let imp_ab = bdd.or(na, fb);
+        let imp_ba = bdd.or(nb, fa);
+        // (a <-> b) == (!a || b) && (!b || a), canonically.
         let both = bdd.and(imp_ab, imp_ba);
         assert_eq!(iff, both, "case={case}");
-        // a -> a is a tautology.
-        assert!(bdd.implies(fa, fa).is_true(), "case={case}");
     }
 }
 
@@ -367,10 +366,7 @@ fn derived_ops_match_their_negation_identities_up_to_12_vars() {
                 bdd.not(direct_xor),
                 "iff nvars={nvars} case={case}"
             );
-            // implies(a, b) == !(a & !b)
-            let direct_imp = bdd.implies(fa, fb);
             let anb = bdd.and(fa, nb);
-            assert_eq!(direct_imp, bdd.not(anb), "imp nvars={nvars} case={case}");
             // and_not(a, b) == a & !b
             let direct_andnot = bdd.and_not(fa, fb);
             assert_eq!(direct_andnot, anb, "and_not nvars={nvars} case={case}");
@@ -390,7 +386,6 @@ fn derived_ops_match_their_negation_identities_up_to_12_vars() {
                 assert_eq!(bdd.eval(direct_or, assign), a | b);
                 assert_eq!(bdd.eval(direct_xor, assign), a ^ b);
                 assert_eq!(bdd.eval(direct_iff, assign), a == b);
-                assert_eq!(bdd.eval(direct_imp, assign), !a | b);
                 assert_eq!(bdd.eval(direct_andnot, assign), a & !b);
             }
             bdd.check_canonical();

@@ -1,5 +1,5 @@
 //! Property-style tests for the relational-product kernel: `and_exists`,
-//! `exists_cube`/`forall_cube`, `constrain`, and `and_not` against their
+//! `exists_cube`, `constrain`, and `and_not` against their
 //! defining identities, over deterministically seeded random function
 //! pairs at several variable counts (offline-safe, no external
 //! property-testing framework).
@@ -89,14 +89,17 @@ fn exists_cube_matches_per_variable_exists() {
 }
 
 #[test]
-fn forall_cube_matches_per_variable_forall() {
+fn exists_cube_of_a_complement_is_the_dual_forall() {
+    // ∃c. !f == !(∀c. f): the cube quantifier's universal branch, reached
+    // through complemented operands, against per-variable `forall`.
     for &nvars in &VAR_COUNTS {
         for case in 0..CASES {
             let (mut bdd, _, f, _, subset) = setup(nvars, case);
             let c = bdd.cube(subset.iter().copied());
-            let single = bdd.forall_cube(f, c);
+            let nf = bdd.not(f);
+            let single = bdd.exists_cube(nf, c);
             let folded = subset.iter().fold(f, |acc, &v| bdd.forall(acc, v));
-            assert_eq!(single, folded, "nvars={nvars} case={case}");
+            assert_eq!(single, bdd.not(folded), "nvars={nvars} case={case}");
         }
     }
 }

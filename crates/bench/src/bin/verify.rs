@@ -22,8 +22,8 @@ use polis_cfsm::Network;
 use polis_core::random::{random_network, RandomSpec};
 use polis_core::trace::escape_json;
 use polis_core::workloads;
-use polis_lang::parse_properties;
-use polis_verify::{verify_with_props, PropReport, Verifier, VerifyOptions, VerifyReport};
+use polis_lang::Property;
+use polis_verify::{PropReport, Verifier, VerifyOptions, VerifyReport};
 use std::time::Instant;
 
 /// One measured verification case.
@@ -191,7 +191,7 @@ const BASELINE: &[Baseline] = &[
     },
 ];
 
-fn run_case(name: &str, net: &Network) -> CaseResult {
+fn run_case(name: &str, net: &Network, props: &[Property]) -> CaseResult {
     let start = Instant::now();
     let mut v = Verifier::run(net, &VerifyOptions::default())
         .unwrap_or_else(|e| panic!("{name}: verification failed: {e}"));
@@ -199,13 +199,14 @@ fn run_case(name: &str, net: &Network) -> CaseResult {
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     // The property pass is a separate run with ring storage on, so the
     // measurement above keeps the exact PR6 memory/timing profile.
-    let suite = workloads::property_suite(net.name());
-    let prop = (!suite.is_empty()).then(|| {
-        let props = parse_properties(net, suite)
-            .unwrap_or_else(|e| panic!("{name}: bad property suite: {e}"));
-        let (_, pr) = verify_with_props(net, &props, &VerifyOptions::default())
-            .unwrap_or_else(|e| panic!("{name}: property pass failed: {e}"));
-        pr
+    let prop = (!props.is_empty()).then(|| {
+        let opts = VerifyOptions {
+            trace_rings: true,
+            ..VerifyOptions::default()
+        };
+        Verifier::run(net, &opts)
+            .unwrap_or_else(|e| panic!("{name}: property pass failed: {e}"))
+            .check_properties(props)
     });
     CaseResult {
         name: name.to_owned(),
@@ -362,17 +363,18 @@ fn main() {
     };
 
     let mut results = Vec::new();
-    for (name, net) in [
-        ("seatbelt", workloads::seat_belt()),
-        ("shock_absorber", workloads::shock_absorber()),
-        ("dashboard", workloads::dashboard()),
+    for (case, name) in [
+        ("seatbelt", "seat_belt"),
+        ("shock_absorber", "shock_absorber"),
+        ("dashboard", "dashboard"),
     ] {
-        results.push(run_case(name, &net));
+        let spec = workloads::spec(name);
+        results.push(run_case(case, &spec.network, &spec.properties));
     }
     let spec = RandomSpec::default();
     for &n in chain_sizes {
         let net = random_network(n, &spec, 0x9e3779b97f4a7c15 ^ n as u64);
-        results.push(run_case(&format!("relay_chain_{n}"), &net));
+        results.push(run_case(&format!("relay_chain_{n}"), &net, &[]));
     }
 
     for r in &results {

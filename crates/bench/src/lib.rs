@@ -1,7 +1,7 @@
-//! Shared helpers for the experiment harnesses (`src/bin/table*.rs`) and
-//! criterion benches. Each binary regenerates one table or narrated
-//! experiment of the paper's Section V; see EXPERIMENTS.md for the
-//! recorded outputs and the paper-vs-measured comparison.
+//! Shared helpers for the experiment harnesses (`src/bin/*.rs`). Each
+//! binary regenerates one table or narrated experiment of the paper's
+//! Section V; see EXPERIMENTS.md for the recorded outputs and the
+//! paper-vs-measured comparison.
 
 use polis_core::{synthesize_with_params, CfsmSynthesis, SynthesisOptions};
 use polis_estimate::{calibrate, CostParams};
@@ -51,29 +51,4 @@ pub fn pct_err(estimated: u64, exact: u64) -> f64 {
         return 0.0;
     }
     (estimated as f64 - exact as f64) / exact as f64 * 100.0
-}
-
-/// Prints a markdown-style table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
-}
-
-/// A minimal self-contained micro-benchmark harness (no external
-/// dependencies, so benches build offline): measures the mean wall time of
-/// `f` over an adaptively chosen iteration count and prints one line.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-    use std::hint::black_box;
-    use std::time::Instant;
-    // Warm-up and calibration: aim for roughly 200 ms of total work.
-    let start = Instant::now();
-    black_box(f());
-    let once = start.elapsed().max(std::time::Duration::from_nanos(50));
-    let iters = (std::time::Duration::from_millis(200).as_nanos() / once.as_nanos())
-        .clamp(1, 100_000) as u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    let per_iter = start.elapsed() / iters as u32;
-    println!("{name:<40} {per_iter:>12.2?}/iter  ({iters} iters)");
 }

@@ -14,10 +14,12 @@
 //!
 //! [`synthesize`] runs steps 1–3 and 5 for one CFSM under a chosen
 //! [`ImplStyle`]; [`synthesize_network`] maps it over a network and adds
-//! the RTOS. The [`workloads`] module provides the paper's evaluation
-//! subjects (dashboard, shock absorber, seat belt) rebuilt as synthetic
-//! equivalents, and [`random`] generates random networks for benchmarks
-//! and property tests.
+//! the RTOS. Both are thin wrappers over the staged, traced entries
+//! [`synthesize_cfsm`] and [`synthesize_network_staged`], which take a
+//! [`SynthCtx`] (see [`pipeline`]). The [`workloads`] module parses the
+//! paper's evaluation subjects (Fig. 1, dashboard, shock absorber, seat
+//! belt) from `examples/specs/*.pol`, and [`random`] generates random
+//! networks for benchmarks and property tests.
 //!
 //! # Examples
 //!
@@ -38,8 +40,7 @@ pub mod trace;
 pub mod workloads;
 
 pub use pipeline::{
-    synthesize_cfsm, synthesize_network_staged, verify_properties_staged, Stage, SynthCtx,
-    SynthError, SynthFailure,
+    synthesize_cfsm, synthesize_network_staged, Stage, SynthCtx, SynthError, SynthFailure,
 };
 pub use trace::{MetricValue, StageRecord, SynthTrace};
 
@@ -170,14 +171,6 @@ pub fn synthesize_with_params(
 ) -> CfsmSynthesis {
     let mut ctx = SynthCtx::new(opts, params);
     pipeline::synthesize_cfsm(&mut ctx, cfsm).expect("validated CFSMs synthesize")
-}
-
-/// Like [`synthesize`], additionally returning the per-stage trace.
-pub fn synthesize_traced(cfsm: &Cfsm, opts: &SynthesisOptions) -> (CfsmSynthesis, SynthTrace) {
-    let params = calibrate(opts.profile);
-    let mut ctx = SynthCtx::new(opts, &params);
-    let r = pipeline::synthesize_cfsm(&mut ctx, cfsm).expect("validated CFSMs synthesize");
-    (r, ctx.into_trace())
 }
 
 /// The pipeline applied to a whole network, plus the generated RTOS.

@@ -25,10 +25,9 @@ use polis_estimate::{
     calibrate, derive_incompatibilities, estimate, max_cycles_false_path_aware, CostParams,
     Estimate, Incompat,
 };
-use polis_lang::Property;
 use polis_rtos::{emit_rtos_c, RtosConfig};
 use polis_sgraph::{build, collapse, ite_chain, BuildError, CollapseOptions, SGraph};
-use polis_verify::{PropReport, Verifier, VerifyError, VerifyOptions, VerifyReport};
+use polis_verify::{Verifier, VerifyError, VerifyOptions, VerifyReport};
 use polis_vm::{analyze, assemble, compile, ObjectCode, VmProgram};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -340,70 +339,6 @@ fn stage_verify(
     ctx.count("dead_transitions", report.dead_transitions.len() as u64);
     ctx.count("deadlock", u64::from(report.deadlock.is_some()));
     Ok((report, incompats))
-}
-
-/// Property checking as its own instrumented stage: rerun the verifier
-/// with ring storage on, evaluate the suite, and record the
-/// counterexample counters ISSUE wiring asks for.
-fn stage_prop(
-    ctx: &mut SynthCtx<'_>,
-    (net, props): (&Network, &[Property]),
-) -> Result<(VerifyReport, PropReport), SynthError> {
-    let vopts = VerifyOptions {
-        node_budget: ctx.opts.verify_node_budget,
-        reorder_threshold: ctx.opts.verify_reorder_threshold,
-        trace_rings: true,
-        ..VerifyOptions::default()
-    };
-    let mut v = Verifier::run(net, &vopts).map_err(SynthError::Verify)?;
-    let report = v.report();
-    let pr = v.check_properties(props);
-    ctx.count("properties_checked", pr.checked);
-    ctx.count("violations", pr.violations);
-    ctx.count("max_trace_len", pr.max_trace_len);
-    ctx.count("preimage_nodes", pr.preimage_nodes);
-    ctx.count("trace_rings_stored", pr.rings_stored);
-    ctx.count("trace_rings_complete", u64::from(pr.rings_complete));
-    ctx.count(
-        "deadlock_trace_len",
-        report
-            .deadlock
-            .as_ref()
-            .and_then(|w| w.trace.as_ref())
-            .map_or(0, |t| t.len() as u64),
-    );
-    Ok((report, pr))
-}
-
-/// Runs verification plus a property suite as an instrumented `prop`
-/// stage and returns the verify report, the property verdicts, and the
-/// stage trace. Separate from [`synthesize_network_staged`] because
-/// [`SynthesisOptions`](crate::SynthesisOptions) is `Copy` and cannot
-/// carry a suite; `polis verify --props` and `polis prop` route here.
-///
-/// # Errors
-///
-/// [`SynthFailure`] with the partial trace when the traversal exceeds
-/// the node budget.
-pub fn verify_properties_staged(
-    net: &Network,
-    props: &[Property],
-    opts: &crate::SynthesisOptions,
-) -> Result<(VerifyReport, PropReport, SynthTrace), SynthFailure> {
-    let params = calibrate(opts.profile);
-    let mut ctx = SynthCtx::new(opts, &params);
-    let result = ctx.run_stage(
-        Stage {
-            name: "prop",
-            run: stage_prop,
-        },
-        (net, props),
-    );
-    let trace = ctx.into_trace();
-    match result {
-        Ok((report, pr)) => Ok((report, pr, trace)),
-        Err(error) => Err(SynthFailure { error, trace }),
-    }
 }
 
 #[allow(clippy::type_complexity)]

@@ -43,7 +43,7 @@ pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPoli
         let c = node_cost(cfsm, g, id, params);
         size += c.bytes;
         node_cycles.insert(id, c.cycles);
-        for s in successors(g, id) {
+        for &s in g.node(id).successors() {
             *parents.entry(s).or_default() += 1;
         }
     }
@@ -76,15 +76,6 @@ pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPoli
         min_cycles: min_cycles.round().max(0.0) as u64,
         max_cycles: max_cycles.round().max(0.0) as u64,
         ram_bytes: ram.round().max(0.0) as u64,
-    }
-}
-
-#[allow(dead_code)]
-pub(crate) fn successors(g: &SGraph, id: NodeId) -> Vec<NodeId> {
-    match g.node(id) {
-        SNode::Begin { next } | SNode::Assign { next, .. } => vec![*next],
-        SNode::End => vec![],
-        SNode::Test { children, .. } => children.clone(),
     }
 }
 
@@ -250,7 +241,9 @@ fn pert_longest(g: &SGraph, cycles: &HashMap<NodeId, f64>, params: &CostParams) 
     let mut longest: HashMap<NodeId, f64> = HashMap::new();
     for &id in order.iter().rev() {
         let own = cycles.get(&id).copied().unwrap_or(0.0);
-        let best = successors(g, id)
+        let best = g
+            .node(id)
+            .successors()
             .iter()
             .enumerate()
             .map(|(k, s)| edge_cycles(g, id, k, params) + longest[s])
@@ -291,7 +284,7 @@ fn dijkstra_shortest(g: &SGraph, cycles: &HashMap<NodeId, f64>, params: &CostPar
         if id == NodeId::END {
             return d;
         }
-        for (k, s) in successors(g, id).into_iter().enumerate() {
+        for (k, &s) in g.node(id).successors().iter().enumerate() {
             let nd = d + edge_cycles(g, id, k, params) + cycles.get(&s).copied().unwrap_or(0.0);
             if nd < dist.get(&s).copied().unwrap_or(f64::INFINITY) {
                 dist.insert(s, nd);

@@ -45,7 +45,7 @@ mod parser;
 mod printer;
 pub mod prop;
 
-pub use parser::{parse_module, parse_network, parse_properties, parse_spec, ParseError};
+pub use parser::{parse_module, parse_network, parse_spec, ParseError};
 pub use printer::{emit_network_source, emit_source};
 pub use prop::{
     emit_properties_source, emit_spec_source, PropExpr, PropKind, Property, Span, Spec,

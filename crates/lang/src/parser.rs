@@ -102,29 +102,6 @@ pub fn parse_spec(name: &str, src: &str) -> Result<Spec, ParseError> {
     })
 }
 
-/// Parses a source containing only `properties` blocks and resolves the
-/// atoms against an existing network — for attaching a suite to a
-/// programmatically built [`Network`] (workloads, benches).
-///
-/// # Errors
-///
-/// Returns [`ParseError`] on syntax errors, on stray `module` blocks,
-/// and on unresolved atom names (spanned, naming the machine).
-pub fn parse_properties(net: &Network, src: &str) -> Result<Vec<Property>, ParseError> {
-    let (machines, raw) = parse_source(src)?;
-    if let Some(m) = machines.first() {
-        return Err(ParseError {
-            line: 0,
-            col: 0,
-            message: format!(
-                "expected only `properties` blocks, found module `{}`",
-                m.name()
-            ),
-        });
-    }
-    resolve_props(net, raw)
-}
-
 fn parse_source(src: &str) -> Result<(Vec<Cfsm>, Vec<RawProp>), ParseError> {
     let tokens = lex(src).map_err(|(line, col, message)| ParseError { line, col, message })?;
     let mut p = Parser { tokens, pos: 0 };
@@ -147,10 +124,6 @@ struct Parser {
 impl Parser {
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].kind
-    }
-
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
     fn here(&self) -> (u32, u32) {
@@ -807,14 +780,6 @@ impl ModuleEnv {
     }
 }
 
-// `peek2` is kept for grammar extensions (e.g. `?sig` in guards).
-impl Parser {
-    #[allow(dead_code)]
-    fn lookahead_is(&self, t: Tok) -> bool {
-        *self.peek2() == t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1031,8 +996,8 @@ mod tests {
         );
         // The rendered suite re-parses to the same resolved properties
         // (spans differ between the two sources, so compare renders).
-        let suite = crate::prop::emit_properties_source(net, &spec.properties);
-        let reparsed = parse_properties(net, &suite).unwrap();
+        let text = crate::prop::emit_spec_source(net, &spec.properties);
+        let reparsed = parse_spec("n", &text).unwrap().properties;
         assert_eq!(reparsed.len(), spec.properties.len());
         for (a, b) in reparsed.iter().zip(&spec.properties) {
             assert_eq!(a.render(net), b.render(net));
@@ -1089,15 +1054,6 @@ mod tests {
             err.message.contains("expected `@state` or `.event`"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn parse_properties_rejects_modules() {
-        let net = parse_network("n", "module m { input a; state s; }").unwrap();
-        let err = parse_properties(&net, "module k { state s; }").unwrap_err();
-        assert!(err.message.contains("found module `k`"), "{err}");
-        let props = parse_properties(&net, "properties { assert reachable m.a; }").unwrap();
-        assert_eq!(props.len(), 1);
     }
 
     #[test]

@@ -139,7 +139,9 @@ fn expr_source(m: &Cfsm, e: &Expr) -> String {
             }
             name.clone()
         }
-        Expr::Unary(UnOp::Neg, a) => format!("(0 - {})", expr_source(m, a)),
+        // `(-x)` reparses as the same negation; `(0 - x)` would reparse
+        // as a subtraction and change the generated code.
+        Expr::Unary(UnOp::Neg, a) => format!("(-{})", expr_source(m, a)),
         Expr::Unary(UnOp::Not, a) => format!("({} == 0)", expr_source(m, a)),
         Expr::Binary(op, a, b) => {
             let (x, y) = (expr_source(m, a), expr_source(m, b));

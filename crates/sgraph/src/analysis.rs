@@ -94,12 +94,7 @@ pub fn vars_needing_buffer(cfsm: &Cfsm, g: &SGraph) -> BTreeSet<String> {
             }
         }
         // Propagate to successors (union over predecessors).
-        let succs: Vec<crate::NodeId> = match g.node(id) {
-            SNode::Begin { next } | SNode::Assign { next, .. } => vec![*next],
-            SNode::End => vec![],
-            SNode::Test { children, .. } => children.clone(),
-        };
-        for s in succs {
+        for &s in g.node(id).successors() {
             written_before
                 .entry(s)
                 .or_default()

@@ -133,6 +133,17 @@ pub enum SNode {
     },
 }
 
+impl SNode {
+    /// Successors in outcome order (a TEST's `children`).
+    pub fn successors(&self) -> &[NodeId] {
+        match self {
+            SNode::Begin { next } | SNode::Assign { next, .. } => std::slice::from_ref(next),
+            SNode::End => &[],
+            SNode::Test { children, .. } => children,
+        }
+    }
+}
+
 /// A software graph: the control-flow skeleton of one CFSM's reaction.
 ///
 /// Size measures of an s-graph, collected in one reachability pass by

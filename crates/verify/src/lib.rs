@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use polis_cfsm::{Cfsm, Network};
-//! use polis_verify::{verify_network, VerifyOptions};
+//! use polis_verify::{Verifier, VerifyOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = Cfsm::builder("echo");
@@ -44,7 +44,7 @@
 //! b.transition(s, s).when_present("ping").emit("pong").done();
 //! let net = Network::new("single", vec![b.build()?])?;
 //!
-//! let report = verify_network(&net, &VerifyOptions::default())?;
+//! let report = Verifier::run(&net, &VerifyOptions::default())?.report();
 //! assert!(report.deadlock.is_none());
 //! assert!(report.dead_transitions.is_empty());
 //! // The environment can always redeliver before `echo` reacts.
@@ -390,44 +390,17 @@ impl<'n> Verifier<'n> {
     }
 }
 
-/// One-shot convenience: [`Verifier::run`] followed by
-/// [`Verifier::report`].
-///
-/// # Errors
-///
-/// Propagates [`Verifier::run`] failures.
-pub fn verify_network(net: &Network, opts: &VerifyOptions) -> Result<VerifyReport, VerifyError> {
-    Ok(Verifier::run(net, opts)?.report())
-}
-
-/// One-shot property checking: [`Verifier::run`] (with ring storage
-/// forced on so violations get decoded traces), the standard report,
-/// and the property verdicts.
-///
-/// # Errors
-///
-/// Propagates [`Verifier::run`] failures.
-pub fn verify_with_props(
-    net: &Network,
-    props: &[Property],
-    opts: &VerifyOptions,
-) -> Result<(VerifyReport, PropReport), VerifyError> {
-    let opts = VerifyOptions {
-        trace_rings: true,
-        ..*opts
-    };
-    let mut v = Verifier::run(net, &opts)?;
-    let report = v.report();
-    let props = v.check_properties(props);
-    Ok((report, props))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polis_cfsm::Cfsm;
     use polis_estimate::PathAtom;
     use polis_expr::{Expr, Type, Value};
+
+    /// [`Verifier::run`] followed by [`Verifier::report`].
+    fn verify(net: &Network, opts: &VerifyOptions) -> Result<VerifyReport, VerifyError> {
+        Verifier::run(net, opts).map(|mut v| v.report())
+    }
 
     /// tick -> [toggler] -> tock -> [sink].
     fn toggler_pair() -> Network {
@@ -458,7 +431,7 @@ mod tests {
     #[test]
     fn toggler_pair_full_product_is_reachable() {
         let net = toggler_pair();
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let report = verify(&net, &VerifyOptions::default()).unwrap();
         // State bits: toggler.tick flag, toggler ctrl, sink.tock flag —
         // all 8 combinations are reachable.
         assert_eq!(report.stats.reached_states, Some(8));
@@ -490,7 +463,7 @@ mod tests {
         // Same guard, declared later: priority resolution kills it.
         b.transition(s, s).when_present("p").emit("b").done();
         let net = Network::new("shadowed", vec![b.build().unwrap()]).unwrap();
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let report = verify(&net, &VerifyOptions::default()).unwrap();
         assert_eq!(report.dead_transitions.len(), 1);
         assert_eq!(report.dead_transitions[0].machine, "shadow");
         assert_eq!(report.dead_transitions[0].transition, 1);
@@ -505,7 +478,7 @@ mod tests {
         let s1 = b.ctrl_state("spent");
         b.transition(s0, s1).when_present("x").emit("done").done();
         let net = Network::new("oneshot", vec![b.build().unwrap()]).unwrap();
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let report = verify(&net, &VerifyOptions::default()).unwrap();
         let w = report.deadlock.expect("redelivered `x` is stuck forever");
         assert_eq!(w.description, vec!["oneshot@spent pending[x]".to_owned()]);
     }
@@ -604,7 +577,7 @@ mod tests {
             .emit("r")
             .done();
         let net = Network::new("join", vec![b.build().unwrap()]).unwrap();
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let report = verify(&net, &VerifyOptions::default()).unwrap();
         assert!(
             report.deadlock.is_none(),
             "env-unblockable pending flagged as deadlock: {:?}",
@@ -618,11 +591,11 @@ mod tests {
         // the image loops; every run that still completes must agree
         // with the unconstrained one (the step relations stay rooted).
         let net = token_ring();
-        let baseline = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let baseline = verify(&net, &VerifyOptions::default()).unwrap();
         let peak = baseline.stats.peak_live_nodes as usize;
         let mut completed = 0;
         for budget in [peak / 2, peak * 2 / 3, peak * 3 / 4, peak - 1] {
-            let Ok(r) = verify_network(
+            let Ok(r) = verify(
                 &net,
                 &VerifyOptions {
                     node_budget: budget,
@@ -679,9 +652,9 @@ mod tests {
         // verdicts, reached-state counts and iteration counts must be
         // bit-identical to the unreordered run on every example network.
         for net in [toggler_pair(), token_ring()] {
-            let baseline = verify_network(&net, &VerifyOptions::default()).unwrap();
+            let baseline = verify(&net, &VerifyOptions::default()).unwrap();
             assert_eq!(baseline.stats.mid_reach_reorders, 0);
-            let forced = verify_network(
+            let forced = verify(
                 &net,
                 &VerifyOptions {
                     reorder_threshold: 1,
@@ -717,7 +690,7 @@ mod tests {
             trace_rings: true,
             ..VerifyOptions::default()
         };
-        let report = verify_network(&net, &opts).unwrap();
+        let report = verify(&net, &opts).unwrap();
         let w = report.deadlock.expect("redelivered `x` is stuck forever");
         assert_eq!(w.description, vec!["oneshot@spent pending[x]".to_owned()]);
         let t = w.trace.expect("rings stored => decoded trace");
@@ -792,7 +765,7 @@ mod tests {
             max_trace_rings: 1,
             ..VerifyOptions::default()
         };
-        let report = verify_network(&net, &opts).unwrap();
+        let report = verify(&net, &opts).unwrap();
         let w = report.deadlock.expect("verdict unaffected by the ring cap");
         assert!(w.trace.is_none(), "deadlock lies beyond the stored prefix");
         assert_eq!(w.description, vec!["oneshot@spent pending[x]".to_owned()]);
@@ -801,8 +774,8 @@ mod tests {
     #[test]
     fn ring_storage_changes_no_verdict_or_count() {
         for net in [toggler_pair(), token_ring(), oneshot()] {
-            let base = verify_network(&net, &VerifyOptions::default()).unwrap();
-            let ringed = verify_network(
+            let base = verify(&net, &VerifyOptions::default()).unwrap();
+            let ringed = verify(
                 &net,
                 &VerifyOptions {
                     trace_rings: true,
@@ -825,7 +798,7 @@ mod tests {
     #[test]
     fn budget_pressure_sheds_rings_before_aborting() {
         let net = token_ring();
-        let base = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let base = verify(&net, &VerifyOptions::default()).unwrap();
         let peak = base.stats.peak_live_nodes as usize;
         let mut completed = 0;
         for budget in [peak / 2, peak * 2 / 3, peak * 3 / 4, peak] {
@@ -869,8 +842,13 @@ mod tests {
                 assert never sink.tock;
             }";
         let spec = polis_lang::parse_spec("pair", src).unwrap();
-        let (_report, pr) =
-            verify_with_props(&spec.network, &spec.properties, &VerifyOptions::default()).unwrap();
+        let opts = VerifyOptions {
+            trace_rings: true,
+            ..VerifyOptions::default()
+        };
+        let pr = Verifier::run(&spec.network, &opts)
+            .unwrap()
+            .check_properties(&spec.properties);
         assert_eq!(pr.checked, 3);
         assert_eq!(pr.violations, 1);
         assert!(pr.rings_complete);
@@ -927,7 +905,7 @@ mod tests {
     #[test]
     fn traversal_records_kernel_counters() {
         let net = token_ring();
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let report = verify(&net, &VerifyOptions::default()).unwrap();
         assert!(report.stats.andex_lookups > 0, "images use and_exists");
         assert!(
             report.stats.cube_quant_calls > 0,

@@ -163,12 +163,7 @@ fn ctrl_needs_buffer(g: &SGraph) -> bool {
             },
             _ => {}
         }
-        let succs: Vec<NodeId> = match g.node(id) {
-            SNode::Begin { next } | SNode::Assign { next, .. } => vec![*next],
-            SNode::End => vec![],
-            SNode::Test { children, .. } => children.clone(),
-        };
-        for s in succs {
+        for &s in g.node(id).successors() {
             let entry = written.entry(s).or_default();
             *entry = *entry || after;
         }

@@ -8,7 +8,7 @@
 
 use polis::core::{synthesize_network, workloads, SynthesisOptions};
 use polis::rtos::{RtosConfig, Simulator, Stimulus};
-use polis::verify::{verify_network, VerifyOptions};
+use polis::verify::{Verifier, VerifyOptions};
 
 fn main() {
     let net = workloads::dashboard();
@@ -42,7 +42,9 @@ fn main() {
     // Symbolic reachability over the full CFSM product: which one-place
     // buffers can overwrite, which transitions can never fire, whether a
     // pending event can get stuck.
-    let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+    let report = Verifier::run(&net, &VerifyOptions::default())
+        .unwrap()
+        .report();
     println!("\n--- symbolic verification ---");
     println!("{}", report.render());
 

@@ -30,6 +30,19 @@ for spec in examples/specs/*.pol; do
     || { echo "FAIL: $spec synthesis output differs between --jobs 1 and --jobs 4"; exit 1; }
 done
 
+echo "==> polis fmt keeps the generated C of every example spec byte-identical"
+rm -rf /tmp/polis_ci_fmt
+mkdir -p /tmp/polis_ci_fmt/formatted
+for spec in examples/specs/*.pol; do
+  name="$(basename "$spec" .pol)"
+  formatted="/tmp/polis_ci_fmt/formatted/$name.pol"
+  ./target/release/polis fmt "$spec" >"$formatted"
+  ./target/release/polis synth "$spec" -o "/tmp/polis_ci_fmt/$name.orig" --jobs 1 >/dev/null
+  ./target/release/polis synth "$formatted" -o "/tmp/polis_ci_fmt/$name.fmt" --jobs 1 >/dev/null
+  diff -r "/tmp/polis_ci_fmt/$name.orig" "/tmp/polis_ci_fmt/$name.fmt" \
+    || { echo "FAIL: polis fmt changes the synthesis output of $spec"; exit 1; }
+done
+
 echo "==> symbolic verification of the example networks"
 for spec in examples/specs/*.pol; do
   echo "--- polis verify $spec"

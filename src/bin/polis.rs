@@ -24,7 +24,7 @@ use polis::core::{
 use polis::lang::{emit_spec_source, parse_network, parse_spec, Spec};
 use polis::rtos::{RtosConfig, SchedulingPolicy, Simulator, Stimulus};
 use polis::sgraph::BufferPolicy;
-use polis::verify::{verify_network, verify_with_props, VerifyOptions};
+use polis::verify::{Verifier, VerifyOptions};
 use polis::vm::Profile;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -361,19 +361,16 @@ fn synth(args: &Args) -> Result<(), String> {
 fn verify_cmd(args: &Args) -> Result<(), String> {
     let (_, spec) = load_spec(args)?;
     let net = &spec.network;
-    let vopts = verify_options(args)?;
-    if !args.has("props") {
-        let report = verify_network(net, &vopts).map_err(|e| e.to_string())?;
-        print!("{}", report.render());
-        println!(
-            "verification took {:?} ({} iterations)",
-            report.stats.wall, report.stats.iterations
-        );
-        return Ok(());
-    }
-    let (report, props) =
-        verify_with_props(net, &spec.properties, &vopts).map_err(|e| e.to_string())?;
+    let props = args.has("props");
+    let vopts = VerifyOptions {
+        // Ring storage gives property violations decoded traces.
+        trace_rings: props,
+        ..verify_options(args)?
+    };
+    let mut v = Verifier::run(net, &vopts).map_err(|e| e.to_string())?;
+    let report = v.report();
     print!("{}", report.render());
+    // Deadlock witnesses carry a decoded trace only when rings are stored.
     if let Some(trace) = report.deadlock.as_ref().and_then(|w| w.trace.as_ref()) {
         println!("deadlock trace ({} steps):", trace.len());
         for line in trace.render(net).lines() {
@@ -384,7 +381,9 @@ fn verify_cmd(args: &Args) -> Result<(), String> {
         "verification took {:?} ({} iterations)",
         report.stats.wall, report.stats.iterations
     );
-    print!("{}", props.render(net));
+    if props {
+        print!("{}", v.check_properties(&spec.properties).render(net));
+    }
     Ok(())
 }
 
@@ -394,15 +393,18 @@ fn prop_cmd(args: &Args) -> Result<(), String> {
     if spec.properties.is_empty() {
         return Err(format!("`{path}` declares no properties block"));
     }
-    let vopts = verify_options(args)?;
-    let (report, props) =
-        verify_with_props(net, &spec.properties, &vopts).map_err(|e| e.to_string())?;
+    let vopts = VerifyOptions {
+        trace_rings: true,
+        ..verify_options(args)?
+    };
+    let mut v = Verifier::run(net, &vopts).map_err(|e| e.to_string())?;
+    let props = v.check_properties(&spec.properties);
     print!("{}", props.render(net));
     println!(
         "checked {} properties in {:?} ({} reachable-set iterations, {} rings, {} preimage nodes)",
         props.checked,
-        report.stats.wall + props.wall,
-        report.stats.iterations,
+        v.stats().wall + props.wall,
+        v.stats().iterations,
         props.rings_stored,
         props.preimage_nodes
     );

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `polis` command-line tool.
 
+use polis::core::{synthesize, workloads, SynthesisOptions};
+use polis::lang::parse_network;
 use std::path::Path;
 use std::process::Command;
 
@@ -298,6 +300,43 @@ fn fmt_normalizes_and_roundtrips() {
     let out4 = bin().args(["fmt", &spec4]).output().unwrap();
     assert!(out4.status.success());
     assert_eq!(String::from_utf8_lossy(&out4.stdout), formatted);
+}
+
+/// `polis fmt` must not change what a spec compiles to: every example
+/// spec, and the original `road` module with its negated literal guard,
+/// synthesize to the same C before and after formatting.
+#[test]
+fn fmt_preserves_generated_c() {
+    const ROAD: &str = r#"
+        module road {
+            input acc_f : i8, window;
+            output roughness : u8;
+            var bumps : u8 := 0;
+            state s;
+            from s to s when window do { emit roughness(bumps); bumps := 0; }
+            from s to s when acc_f && [?acc_f > 12] do { bumps := bumps + 1; }
+            from s to s when acc_f && [?acc_f < -12] do { bumps := bumps + 1; }
+        }
+    "#;
+    let dir = tmpdir("fmt_c");
+    let c_code = |name: &str, src: &str| -> Vec<String> {
+        let net = parse_network(name, src).unwrap_or_else(|e| panic!("{name}: {e}\n{src}"));
+        net.cfsms()
+            .iter()
+            .map(|m| synthesize(m, &SynthesisOptions::default()).c_code)
+            .collect()
+    };
+    for (name, src) in workloads::SOURCES.into_iter().chain([("road", ROAD)]) {
+        let path = write(&dir, &format!("{name}.pol"), src);
+        let out = bin().args(["fmt", &path]).output().unwrap();
+        assert!(out.status.success(), "{name}");
+        let formatted = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(
+            c_code(name, src),
+            c_code(name, &formatted),
+            "{name}: fmt changed the generated C\n{formatted}"
+        );
+    }
 }
 
 #[test]

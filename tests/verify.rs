@@ -10,16 +10,14 @@ use polis::estimate::Incompat;
 use polis::expr::{Expr, Type, Value};
 use polis::rtos::{RtosConfig, Simulator, Stimulus};
 use polis::sgraph::{build, EvalError, SgEnv};
-use polis::verify::{verify_network, Verifier, VerifyError, VerifyOptions};
+use polis::verify::{Verifier, VerifyError, VerifyOptions};
 use std::collections::HashMap;
 
 fn example_networks() -> Vec<Network> {
-    vec![
-        Network::new("simple", vec![workloads::simple()]).unwrap(),
-        workloads::dashboard(),
-        workloads::shock_absorber(),
-        workloads::seat_belt(),
-    ]
+    workloads::SOURCES
+        .iter()
+        .map(|(name, _)| workloads::spec(name).network)
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -46,7 +44,9 @@ fn sim_losses_are_flagged_by_verification() {
         sim.run(&stim);
         let overwritten = sim.stats().overwritten.clone();
 
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let report = Verifier::run(&net, &VerifyOptions::default())
+            .unwrap()
+            .report();
         for (i, &lost) in overwritten.iter().enumerate() {
             if lost > 0 {
                 losses_observed += lost;
@@ -305,7 +305,9 @@ fn budget_overflow_preserves_partial_trace() {
 #[test]
 fn example_verdicts_are_consistent_with_simulated_losses() {
     for net in example_networks() {
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+        let report = Verifier::run(&net, &VerifyOptions::default())
+            .unwrap()
+            .report();
         // Burst every primary input; anything the sim then drops must be
         // covered by a `possible` verdict.
         let mut stim = Vec::new();
