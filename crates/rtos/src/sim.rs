@@ -7,6 +7,7 @@ use polis_vm::{
     assemble, compile, run_reaction, ObjectCode, Profile, ReactionHost, VmMemory, VmProgram,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Scheduling policy for enabled software CFSMs (Section IV-A: "a user
 /// chooses off-line one of the several available scheduling policies").
@@ -144,16 +145,19 @@ impl Stimulus {
 }
 
 /// One emission observed during simulation.
+///
+/// The names are shared: every entry for one signal, and every entry by
+/// one machine, points at the same string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Completion time of the emitting reaction.
     pub time: u64,
     /// Signal name.
-    pub signal: String,
+    pub signal: Arc<str>,
     /// Carried value.
     pub value: Option<i64>,
     /// Emitting machine name.
-    pub by: String,
+    pub by: Arc<str>,
 }
 
 /// Aggregate simulation metrics.
@@ -192,9 +196,11 @@ enum Runtime {
 }
 
 struct Task {
-    name: String,
+    name: Arc<str>,
     cfsm: polis_cfsm::Cfsm,
     runtime: Runtime,
+    /// Signal id of each output.
+    outputs: Vec<usize>,
     /// Presence flags per input (the one-place buffers).
     flags: Vec<bool>,
     /// Arrivals during the task's own execution (Section IV-D).
@@ -207,6 +213,11 @@ struct Task {
 }
 
 /// Host that exposes the latched snapshot and records RTOS interactions.
+///
+/// One host serves every software reaction. `emissions` is a stack:
+/// each reaction pushes its `(output, value)` pairs on top, and they are
+/// popped once delivered, after the reactions they chain to have popped
+/// theirs.
 #[derive(Default)]
 struct SnapshotHost {
     snapshot: Vec<bool>,
@@ -230,11 +241,24 @@ impl ReactionHost for SnapshotHost {
 }
 
 /// The network co-simulator; see the crate docs.
+///
+/// Signal names are resolved to dense ids once, at construction; events
+/// are routed by id from then on.
 pub struct Simulator {
     config: RtosConfig,
     tasks: Vec<Task>,
-    /// `signal -> (task, input index)` delivery fan-out.
-    consumers: HashMap<String, Vec<(usize, usize)>>,
+    /// Signal name -> id.
+    ids: HashMap<Arc<str>, usize>,
+    /// Signal name per id.
+    signals: Vec<Arc<str>>,
+    /// Delivery mode per signal id.
+    delivery: Vec<DeliveryMode>,
+    /// `(task, input index)` delivery fan-out per signal id, in network
+    /// order.
+    consumers: Vec<Vec<(usize, usize)>>,
+    /// `chained[emitter][consumer]`: [`RtosConfig::chains`] by task index.
+    chained: Vec<Vec<bool>>,
+    host: SnapshotHost,
     rr_next: usize,
     now: u64,
     trace: Vec<TraceEntry>,
@@ -279,8 +303,25 @@ impl Simulator {
         config: RtosConfig,
     ) -> Simulator {
         assert_eq!(graphs.len(), net.cfsms().len(), "one graph per machine");
+        // Every signal a machine reads or writes gets an id, and so does
+        // every signal with a configured delivery mode.
+        let mut ids: HashMap<Arc<str>, usize> = HashMap::new();
+        let mut signals: Vec<Arc<str>> = Vec::new();
+        let names = net
+            .cfsms()
+            .iter()
+            .flat_map(|m| m.inputs().iter().chain(m.outputs()))
+            .map(|s| s.name())
+            .chain(config.delivery.keys().map(String::as_str));
+        for name in names {
+            if !ids.contains_key(name) {
+                let name: Arc<str> = name.into();
+                ids.insert(name.clone(), signals.len());
+                signals.push(name);
+            }
+        }
         let mut tasks = Vec::new();
-        let mut consumers: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+        let mut consumers = vec![Vec::new(); signals.len()];
         for (ti, (m, g)) in net.cfsms().iter().zip(graphs).enumerate() {
             let runtime = if config.hardware.contains(m.name()) {
                 Runtime::Hw {
@@ -295,25 +336,38 @@ impl Simulator {
                 Runtime::Sw { prog, obj, mem }
             };
             for (ii, sig) in m.inputs().iter().enumerate() {
-                consumers
-                    .entry(sig.name().to_owned())
-                    .or_default()
-                    .push((ti, ii));
+                consumers[ids[sig.name()]].push((ti, ii));
             }
             tasks.push(Task {
-                name: m.name().to_owned(),
+                name: m.name().into(),
                 cfsm: m.clone(),
                 runtime,
+                outputs: m.outputs().iter().map(|s| ids[s.name()]).collect(),
                 flags: vec![false; m.inputs().len()],
                 pending: Vec::new(),
                 enabled: false,
             });
         }
+        let mut delivery = vec![DeliveryMode::Interrupt; signals.len()];
+        for (name, &mode) in &config.delivery {
+            delivery[ids[name.as_str()]] = mode;
+        }
         let n = tasks.len();
+        let mut chained = vec![vec![false; n]; n];
+        for (a, b) in &config.chains {
+            if let (Some(a), Some(b)) = (net.machine_index(a), net.machine_index(b)) {
+                chained[a][b] = true;
+            }
+        }
         Simulator {
             config,
             tasks,
+            ids,
+            signals,
+            delivery,
             consumers,
+            chained,
+            host: SnapshotHost::default(),
             rr_next: 0,
             now: 0,
             trace: Vec::new(),
@@ -345,29 +399,39 @@ impl Simulator {
     /// delivered and no task remains enabled. Stimuli are sorted by time
     /// internally.
     pub fn run(&mut self, stimuli: &[Stimulus]) {
-        let mut queue: Vec<Stimulus> = stimuli.to_vec();
-        // Apply delivery-mode deferral (polling) up front.
-        for s in &mut queue {
-            if let Some(DeliveryMode::Polled { period }) = self.config.delivery.get(&s.signal) {
-                let p = (*period).max(1);
-                s.time = s.time.div_ceil(p) * p;
-            }
-        }
-        queue.sort_by_key(|s| s.time);
+        // `(due time, stimulus index, signal id)`, with delivery-mode
+        // deferral (polling) applied up front. A signal without an id is
+        // read by no machine.
+        let mut queue: Vec<(u64, usize, Option<usize>)> = stimuli
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let id = self.ids.get(s.signal.as_str()).copied();
+                let due = match id.map(|id| self.delivery[id]) {
+                    Some(DeliveryMode::Polled { period }) => {
+                        let p = period.max(1);
+                        s.time.div_ceil(p) * p
+                    }
+                    _ => s.time,
+                };
+                (due, i, id)
+            })
+            .collect();
+        queue.sort_by_key(|&(due, ..)| due);
         let mut qi = 0;
 
         loop {
             // Deliver everything due.
-            while qi < queue.len() && queue[qi].time <= self.now {
-                let s = queue[qi].clone();
+            while qi < queue.len() && queue[qi].0 <= self.now {
+                let (_, i, id) = queue[qi];
                 qi += 1;
-                self.deliver_env(&s, None);
+                self.deliver_env(id, stimuli[i].value, None);
             }
             // Pick a task.
             let Some(ti) = self.pick_task() else {
                 // Idle: jump to the next stimulus or stop.
                 if qi < queue.len() {
-                    self.now = self.now.max(queue[qi].time);
+                    self.now = self.now.max(queue[qi].0);
                     continue;
                 }
                 break;
@@ -380,10 +444,10 @@ impl Simulator {
 
             // Environment events that arrived while the task was running
             // land in *its* pending set; other tasks get them directly.
-            while qi < queue.len() && queue[qi].time <= self.now {
-                let s = queue[qi].clone();
+            while qi < queue.len() && queue[qi].0 <= self.now {
+                let (_, i, id) = queue[qi];
                 qi += 1;
-                self.deliver_env(&s, Some(ti));
+                self.deliver_env(id, stimuli[i].value, Some(ti));
             }
             // Preemption: strictly-more-urgent tasks enabled by those
             // arrivals run before the interrupted task's bookkeeping
@@ -400,10 +464,12 @@ impl Simulator {
             }
             // The hold-back window is over: flush deferred arrivals into
             // the task's flags for its next execution.
-            let pending = std::mem::take(&mut self.tasks[ti].pending);
-            for (input, value) in pending {
+            let mut pending = std::mem::take(&mut self.tasks[ti].pending);
+            for &(input, value) in &pending {
                 self.set_flag(ti, input, value);
             }
+            pending.clear();
+            self.tasks[ti].pending = pending;
             // Internal emissions are delivered at reaction completion.
             self.process_emissions(ti, emissions, None);
             self.stats.total_cycles = self.now;
@@ -412,17 +478,26 @@ impl Simulator {
     }
 
     /// Measures, over the whole trace, the worst latency from a stimulus
-    /// on `input` to the next emission of `output` (a simple I/O-latency
-    /// probe for the Section V-B constraint check). Returns `None` if the
-    /// pairing never occurred.
+    /// on `input` to the first emission of `output`, in trace order, at or
+    /// after it (a simple I/O-latency probe for the Section V-B constraint
+    /// check). Returns `None` if no stimulus on `input` occurred, or as
+    /// soon as one of them has no such emission.
     pub fn worst_latency(&self, stimuli: &[Stimulus], input: &str, output: &str) -> Option<u64> {
+        // Running maximum of the `output` emission times, in trace order:
+        // the first entry reaching a stimulus's time is its response.
+        let reached: Vec<u64> = self
+            .trace
+            .iter()
+            .filter(|t| &*t.signal == output)
+            .scan(0, |max, t| {
+                *max = t.time.max(*max);
+                Some(*max)
+            })
+            .collect();
         let mut worst = None;
         for s in stimuli.iter().filter(|s| s.signal == input) {
-            let response = self
-                .trace
-                .iter()
-                .find(|t| t.signal == output && t.time >= s.time)?;
-            let lat = response.time - s.time;
+            let response = reached.get(reached.partition_point(|&t| t < s.time))?;
+            let lat = response - s.time;
             worst = Some(worst.map_or(lat, |w: u64| w.max(lat)));
         }
         worst
@@ -467,98 +542,90 @@ impl Simulator {
         }
     }
 
-    /// Runs one software reaction of task `ti`; returns its emissions (by
-    /// name) and cycle cost.
-    fn react_sw(&mut self, ti: usize) -> (Vec<(String, Option<i64>)>, u64) {
+    /// Runs one software reaction of task `ti`; returns where its
+    /// emissions start on the host's emission stack, and its cycle cost.
+    fn react_sw(&mut self, ti: usize) -> (usize, u64) {
         let task = &mut self.tasks[ti];
         task.enabled = false; // disabled once it finishes its execution
-        let snapshot = task.flags.clone();
-        let mut host = SnapshotHost {
-            snapshot: snapshot.clone(),
-            ..SnapshotHost::default()
-        };
+        let host = &mut self.host;
+        host.snapshot.clear();
+        host.snapshot.extend_from_slice(&task.flags);
+        host.consumed = false;
+        let start = host.emissions.len();
         let Runtime::Sw { prog, obj, mem } = &mut task.runtime else {
             unreachable!("hardware tasks react eagerly at delivery");
         };
-        let stats = run_reaction(prog, obj, mem, &mut host).expect("synthesized routines execute");
+        let stats = run_reaction(prog, obj, mem, host).expect("synthesized routines execute");
 
         self.stats.reactions[ti] += 1;
         if host.consumed {
             self.stats.fired[ti] += 1;
             // The consumed snapshot is cleared; later arrivals survive.
-            for (f, &snap) in task.flags.iter_mut().zip(&snapshot) {
+            for (f, &snap) in task.flags.iter_mut().zip(&host.snapshot) {
                 if snap {
                     *f = false;
                 }
             }
         }
-        let task = &self.tasks[ti];
-        let emissions = host
-            .emissions
-            .into_iter()
-            .map(|(o, v)| (task.cfsm.outputs()[o].name().to_owned(), v))
-            .collect();
-        (emissions, stats.cycles)
+        (start, stats.cycles)
     }
 
-    /// Records and delivers a finished reaction's emissions, running
-    /// chained consumers inline (no dispatch or emission overhead).
-    fn process_emissions(
-        &mut self,
-        by: usize,
-        emissions: Vec<(String, Option<i64>)>,
-        running: Option<usize>,
-    ) {
-        let by_name = self.tasks[by].name.clone();
-        for (sig, value) in emissions {
-            self.trace.push(TraceEntry {
-                time: self.now,
-                signal: sig.clone(),
-                value,
-                by: by_name.clone(),
-            });
-            self.deliver(&sig, value, running);
+    /// Records and delivers a finished reaction's emissions (the host's
+    /// emission stack from `start` up), running chained consumers inline
+    /// (no dispatch or emission overhead), then pops them.
+    fn process_emissions(&mut self, by: usize, start: usize, running: Option<usize>) {
+        for k in start..self.host.emissions.len() {
+            let (output, value) = self.host.emissions[k];
+            let sig = self.tasks[by].outputs[output];
+            self.record(sig, value, by, self.now);
+            self.deliver(sig, value, running);
 
             // Chained consumers execute immediately as part of this task.
-            let targets = self.consumers.get(&sig).cloned().unwrap_or_default();
-            for (ti2, _) in targets {
-                if self.is_hw(ti2) || !self.tasks[ti2].enabled {
+            for c in 0..self.consumers[sig].len() {
+                let ti2 = self.consumers[sig][c].0;
+                if self.is_hw(ti2) || !self.tasks[ti2].enabled || !self.chained[by][ti2] {
                     continue;
                 }
-                let key = (by_name.clone(), self.tasks[ti2].name.clone());
-                if self.config.chains.contains(&key) {
-                    let (em2, cyc2) = self.react_sw(ti2);
-                    self.now += cyc2;
-                    self.stats.busy_cycles += cyc2;
-                    self.stats.chained_reactions += 1;
-                    self.process_emissions(ti2, em2, running);
-                }
+                let (em2, cyc2) = self.react_sw(ti2);
+                self.now += cyc2;
+                self.stats.busy_cycles += cyc2;
+                self.stats.chained_reactions += 1;
+                self.process_emissions(ti2, em2, running);
             }
         }
+        self.host.emissions.truncate(start);
     }
 
-    fn deliver_env(&mut self, s: &Stimulus, running: Option<usize>) {
-        if matches!(
-            self.config.delivery.get(&s.signal),
-            None | Some(DeliveryMode::Interrupt)
-        ) {
-            self.now += self.config.overhead.isr;
-            self.stats.rtos_cycles += self.config.overhead.isr;
-            self.stats.busy_cycles += self.config.overhead.isr;
-        } else {
-            self.now += self.config.overhead.poll;
-            self.stats.rtos_cycles += self.config.overhead.poll;
-            self.stats.busy_cycles += self.config.overhead.poll;
+    fn record(&mut self, sig: usize, value: Option<i64>, by: usize, time: u64) {
+        self.trace.push(TraceEntry {
+            time,
+            signal: self.signals[sig].clone(),
+            value,
+            by: self.tasks[by].name.clone(),
+        });
+    }
+
+    /// Charges the ISR or polling routine for one environment event and
+    /// delivers it; `sig` is `None` for a signal no machine reads.
+    fn deliver_env(&mut self, sig: Option<usize>, value: Option<i64>, running: Option<usize>) {
+        let cost = match sig.map(|id| self.delivery[id]) {
+            Some(DeliveryMode::Polled { .. }) => self.config.overhead.poll,
+            _ => self.config.overhead.isr,
+        };
+        self.now += cost;
+        self.stats.rtos_cycles += cost;
+        self.stats.busy_cycles += cost;
+        if let Some(sig) = sig {
+            self.deliver(sig, value, running);
         }
-        self.deliver(&s.signal, s.value, running);
     }
 
     /// Sets flags and value buffers at every consumer; `running` holds
     /// arrivals for the executing task in its pending set (Section IV-D).
     /// Hardware consumers react immediately, off-CPU.
-    fn deliver(&mut self, signal: &str, value: Option<i64>, running: Option<usize>) {
-        let targets = self.consumers.get(signal).cloned().unwrap_or_default();
-        for (ti, input) in targets {
+    fn deliver(&mut self, sig: usize, value: Option<i64>, running: Option<usize>) {
+        for c in 0..self.consumers[sig].len() {
+            let (ti, input) = self.consumers[sig][c];
             if running == Some(ti) {
                 self.tasks[ti].pending.push((input, value));
             } else {
@@ -575,12 +642,11 @@ impl Simulator {
     fn react_hw(&mut self, ti: usize, running: Option<usize>) {
         let task = &mut self.tasks[ti];
         task.enabled = false;
-        let snapshot = task.flags.clone();
         let present: BTreeSet<String> = task
             .cfsm
             .inputs()
             .iter()
-            .zip(&snapshot)
+            .zip(&task.flags)
             .filter(|(_, &p)| p)
             .map(|(s, _)| s.name().to_owned())
             .collect();
@@ -595,26 +661,19 @@ impl Simulator {
         let mut emissions = Vec::new();
         if r.fired {
             self.stats.fired[ti] += 1;
-            *state = r.next.clone();
-            for f in task.flags.iter_mut() {
-                *f = false;
-            }
+            *state = r.next;
+            task.flags.fill(false);
             for e in &r.emissions {
-                emissions.push((e.signal.clone(), e.value.map(|v| v.as_int().unwrap_or(0))));
+                let value = e.value.map(|v| v.as_int().unwrap_or(0));
+                emissions.push((self.ids[e.signal.as_str()], value));
             }
         }
         // Hardware completion is hw_reaction_cycles later; the CPU clock
         // does not advance (the reaction runs in parallel).
         let at = self.now + self.config.hw_reaction_cycles;
-        let by_name = self.tasks[ti].name.clone();
         for (sig, value) in emissions {
-            self.trace.push(TraceEntry {
-                time: at,
-                signal: sig.clone(),
-                value,
-                by: by_name.clone(),
-            });
-            self.deliver(&sig, value, running);
+            self.record(sig, value, ti, at);
+            self.deliver(sig, value, running);
         }
     }
 

@@ -32,16 +32,12 @@ fn pipeline_propagates_events_in_order() {
     let outs: Vec<&str> = sim
         .trace()
         .iter()
-        .filter(|t| t.signal == "out")
-        .map(|t| t.by.as_str())
+        .filter(|t| &*t.signal == "out")
+        .map(|t| &*t.by)
         .collect();
     assert_eq!(outs, vec!["c", "c"], "trace: {:?}", sim.trace());
     // m1 is emitted before m2 before out each round.
-    let times: Vec<(&str, u64)> = sim
-        .trace()
-        .iter()
-        .map(|t| (t.signal.as_str(), t.time))
-        .collect();
+    let times: Vec<(&str, u64)> = sim.trace().iter().map(|t| (&*t.signal, t.time)).collect();
     let first = |sig: &str| times.iter().find(|(s, _)| *s == sig).unwrap().1;
     assert!(first("m1") <= first("m2"));
     assert!(first("m2") <= first("out"));
@@ -62,7 +58,7 @@ fn one_place_buffer_overwrites_fast_events() {
     let mut sim = Simulator::build(&net, RtosConfig::default());
     // Both events at t=0: the second lands before the task runs.
     sim.run(&[Stimulus::pure(0, "e"), Stimulus::pure(0, "e")]);
-    let seen = sim.trace().iter().filter(|t| t.signal == "seen").count();
+    let seen = sim.trace().iter().filter(|t| &*t.signal == "seen").count();
     assert_eq!(seen, 1, "overwritten event must be lost");
     assert_eq!(sim.stats().overwritten, vec![1]);
 }
@@ -89,8 +85,8 @@ fn events_preserved_when_no_transition_fires() {
     let fired: Vec<&str> = sim
         .trace()
         .iter()
-        .filter(|t| t.signal == "go")
-        .map(|t| t.by.as_str())
+        .filter(|t| &*t.signal == "go")
+        .map(|t| &*t.by)
         .collect();
     assert_eq!(fired, vec!["both"], "a must survive the empty reaction");
     // The task ran at least twice (once unfired, once fired).
@@ -123,7 +119,7 @@ fn snapshot_race_of_section_iv_d() {
     // x arrives; while the task reacts to x, y arrives (within the
     // reaction's cycle window). The snapshot shows x only; y is pending.
     sim.run(&[Stimulus::pure(0, "x"), Stimulus::pure(60, "y")]);
-    let sigs: Vec<&str> = sim.trace().iter().map(|t| t.signal.as_str()).collect();
+    let sigs: Vec<&str> = sim.trace().iter().map(|t| &*t.signal).collect();
     assert_eq!(
         sigs,
         vec!["seen_x", "y_only"],
@@ -152,7 +148,7 @@ fn static_priority_dispatches_urgent_task_first() {
     // Both enabled at the same instant.
     sim.run(&[Stimulus::pure(0, "e_low"), Stimulus::pure(0, "e_high")]);
     let first = &sim.trace()[0];
-    assert_eq!(first.by, "high", "trace: {:?}", sim.trace());
+    assert_eq!(&*first.by, "high", "trace: {:?}", sim.trace());
 }
 
 #[test]
@@ -227,11 +223,11 @@ fn valued_events_carry_data_through_the_network() {
     let ys: Vec<Option<i64>> = sim
         .trace()
         .iter()
-        .filter(|t| t.signal == "y")
+        .filter(|t| &*t.signal == "y")
         .map(|t| t.value)
         .collect();
     assert_eq!(ys, vec![Some(6), Some(18)]);
-    let highs = sim.trace().iter().filter(|t| t.signal == "high").count();
+    let highs = sim.trace().iter().filter(|t| &*t.signal == "high").count();
     assert_eq!(highs, 1);
 }
 
@@ -270,6 +266,77 @@ fn state_persists_across_reactions() {
     let mut sim = Simulator::build(&net, RtosConfig::default());
     let stim: Vec<Stimulus> = (0..9).map(|i| Stimulus::pure(i * 100_000, "e")).collect();
     sim.run(&stim);
-    let thirds = sim.trace().iter().filter(|t| t.signal == "third").count();
+    let thirds = sim.trace().iter().filter(|t| &*t.signal == "third").count();
     assert_eq!(thirds, 3);
+}
+
+#[test]
+fn stimulus_on_an_unread_signal_costs_only_its_delivery_routine() {
+    let net = Network::new("n", vec![relay("a", "in", "out")]).unwrap();
+    let mut sim = Simulator::build(&net, RtosConfig::default());
+    sim.run(&[Stimulus::pure(0, "nobody_reads")]);
+    let isr = RtosConfig::default().overhead.isr;
+    assert!(sim.trace().is_empty());
+    assert_eq!(sim.stats().reactions, vec![0]);
+    assert_eq!(sim.stats().rtos_cycles, isr);
+    assert_eq!(sim.stats().busy_cycles, isr);
+    assert_eq!(sim.stats().total_cycles, isr);
+
+    // A configured delivery mode applies even to a signal no machine
+    // reads: the event waits for the polling instant and costs a poll.
+    let config = RtosConfig {
+        delivery: [(
+            "nobody_reads".to_string(),
+            DeliveryMode::Polled { period: 500 },
+        )]
+        .into_iter()
+        .collect(),
+        ..RtosConfig::default()
+    };
+    let poll = config.overhead.poll;
+    let mut sim = Simulator::build(&net, config);
+    sim.run(&[Stimulus::pure(1, "nobody_reads")]);
+    assert!(sim.trace().is_empty());
+    assert_eq!(sim.stats().reactions, vec![0]);
+    assert_eq!(sim.stats().rtos_cycles, poll);
+    assert_eq!(sim.stats().total_cycles, 500 + poll);
+}
+
+#[test]
+fn output_no_machine_reads_is_traced_but_delivered_nowhere() {
+    let net = Network::new(
+        "n",
+        vec![relay("a", "in", "dangling"), relay("b", "other", "out")],
+    )
+    .unwrap();
+    let mut sim = Simulator::build(&net, RtosConfig::default());
+    sim.run(&[Stimulus::pure(0, "in")]);
+    let trace: Vec<(&str, &str)> = sim.trace().iter().map(|t| (&*t.signal, &*t.by)).collect();
+    assert_eq!(trace, vec![("dangling", "a")]);
+    assert_eq!(sim.stats().reactions, vec![1, 0]);
+    assert_eq!(sim.stats().overwritten, vec![0, 0]);
+}
+
+#[test]
+fn signal_read_by_two_machines_is_delivered_in_network_order() {
+    // Hardware consumers react at delivery, so their emissions show the
+    // delivery order directly.
+    let hw = |names: &[&str]| RtosConfig {
+        hardware: names.iter().map(|n| n.to_string()).collect(),
+        ..RtosConfig::default()
+    };
+    let order = |machines: Vec<Cfsm>| -> Vec<String> {
+        let net = Network::new("n", machines).unwrap();
+        let mut sim = Simulator::build(&net, hw(&["a", "b"]));
+        sim.run(&[Stimulus::pure(0, "x")]);
+        sim.trace().iter().map(|t| t.by.to_string()).collect()
+    };
+    assert_eq!(
+        order(vec![relay("a", "x", "ya"), relay("b", "x", "yb")]),
+        vec!["a", "b"]
+    );
+    assert_eq!(
+        order(vec![relay("b", "x", "yb"), relay("a", "x", "ya")]),
+        vec!["b", "a"]
+    );
 }

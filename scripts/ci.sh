@@ -86,4 +86,14 @@ check_props examples/specs/dashboard.pol \
 echo "==> verify bench smoke (sanity thresholds + deterministic regression gate)"
 ./target/release/verify --smoke --check --gate BENCH_verify.json --out /tmp/bench_verify_smoke.json
 
+# The benchmark is its own Cargo workspace on top of the public crate APIs,
+# so the workspace steps above never compile it.
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark smoke: one second of cosim_dashboard, checked and failure-free"
+result="$(python3 perfbench/run.py --workload cosim_dashboard --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+grep -qF '"correct": true' <<<"$result" && grep -qF '"failed": 0,' <<<"$result" \
+  || { echo "FAIL: benchmark smoke result: $result"; exit 1; }
+
 echo "CI OK"

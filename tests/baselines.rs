@@ -105,7 +105,7 @@ fn composition_agrees_with_distributed_execution_when_slow() {
         let mut v: Vec<(String, Option<i64>)> = sim
             .trace()
             .iter()
-            .map(|t| (t.signal.clone(), t.value))
+            .map(|t| (t.signal.to_string(), t.value))
             .collect();
         v.sort();
         v
@@ -154,7 +154,7 @@ fn granularity_merge_keeps_behaviour() {
     let speeds = |sim: &Simulator| -> Vec<Option<i64>> {
         sim.trace()
             .iter()
-            .filter(|t| t.signal == "speed")
+            .filter(|t| &*t.signal == "speed")
             .map(|t| t.value)
             .collect()
     };
