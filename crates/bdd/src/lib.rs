@@ -370,22 +370,24 @@ impl UniqueTable {
     }
 
     /// Keeps only entries whose node satisfies `keep`; dropped nodes are
-    /// pushed onto `freed`. Rebuilds in place at the current capacity.
+    /// pushed onto `freed`. Rebuilds at the smallest power-of-two capacity
+    /// (at least 8) that holds the survivors at no more than half load,
+    /// but never above the current capacity, so a table shrinks after a
+    /// collection and later scans of it (a level swap reads every slot)
+    /// cost what it holds, not what it once held.
     fn retain(&mut self, mut keep: impl FnMut(NodeRef) -> bool, freed: &mut Vec<NodeRef>) {
-        if self.len == 0 {
-            return;
-        }
         let mut survivors: Vec<UniqueSlot> = Vec::with_capacity(self.len);
-        for s in &mut self.slots {
+        for s in &self.slots {
             if s.node != EMPTY {
                 if keep(s.node) {
                     survivors.push(*s);
                 } else {
                     freed.push(s.node);
                 }
-                *s = VACANT;
             }
         }
+        let cap = (survivors.len() * 2).next_power_of_two().max(8);
+        self.slots = vec![VACANT; cap.min(self.slots.len())];
         self.len = 0;
         for s in survivors {
             self.insert_rehash(s);
@@ -2734,6 +2736,36 @@ mod tests {
             );
         }
         assert_eq!(t.len(), n as usize);
+    }
+
+    #[test]
+    fn unique_table_retain_compacts_to_half_load() {
+        let mut t = UniqueTable::new();
+        for i in 0..512u32 {
+            t.insert(NodeRef(i), NodeRef(i + 1), NodeRef(1000 + i));
+        }
+        assert_eq!(t.slots.len(), 1024);
+        let mut freed = Vec::new();
+        // 10 survivors fit at half load in 32 slots.
+        t.retain(|n| n.0 < 1010, &mut freed);
+        assert_eq!((t.len(), t.slots.len(), freed.len()), (10, 32, 502));
+        for i in 0..10u32 {
+            assert_eq!(t.get(NodeRef(i), NodeRef(i + 1)), Some(NodeRef(1000 + i)));
+        }
+        t.retain(|n| n.0 < 1006, &mut freed);
+        assert_eq!((t.len(), t.slots.len()), (6, 16));
+        t.retain(|n| n.0 < 1003, &mut freed);
+        assert_eq!((t.len(), t.slots.len()), (3, 8));
+        // Six survivors would want 16 slots, but a rebuild never grows.
+        for i in 3..6u32 {
+            t.insert(NodeRef(i), NodeRef(i + 1), NodeRef(1000 + i));
+        }
+        t.retain(|_| true, &mut freed);
+        assert_eq!((t.len(), t.slots.len()), (6, 8));
+        t.retain(|_| false, &mut freed);
+        assert_eq!((t.len(), t.slots.len()), (0, 8));
+        assert_eq!(t.insert(NodeRef(7), NodeRef(8), NodeRef(9)), None);
+        assert_eq!(t.get(NodeRef(7), NodeRef(8)), Some(NodeRef(9)));
     }
 
     #[test]

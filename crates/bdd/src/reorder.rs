@@ -201,39 +201,58 @@ impl Bdd {
 
     /// Moves one block through its feasible window and leaves it at the best
     /// position found.
-    fn sift_block(&mut self, layout: &mut BlockLayout, block: usize, mut best: usize) -> usize {
+    ///
+    /// Like CUDD's `cuddSiftingAux`, the block first walks to the nearer end
+    /// of the window, then to the farther one, and then back to its best
+    /// position, so the far leg is never walked twice. The size at every
+    /// position is recorded on the way. The best position is the first
+    /// strict minimum in the order a down-then-up walk meets the positions
+    /// (`start`, `start+1..=ub`, then `start-1` down to `lb`), so the
+    /// outcome does not depend on the direction walked.
+    fn sift_block(&mut self, layout: &mut BlockLayout, block: usize, best: usize) -> usize {
         let start = layout.position(block);
         let (lb, ub) = layout.feasible_window(block);
         debug_assert!((lb..=ub).contains(&start));
-        let mut best_pos = start;
+        // `sizes[p - lb]`: the allocation count with the block at `p`. The
+        // arena is exact during sifting, so the count at `start` is `best`.
+        let mut sizes = vec![best; ub - lb + 1];
+        let (near, far) = if ub - start <= start - lb {
+            (ub, lb)
+        } else {
+            (lb, ub)
+        };
+        self.walk_block(layout, start, near, lb, &mut sizes);
+        self.walk_block(layout, near, far, lb, &mut sizes);
+        // `min_by_key` keeps the first of equal minima.
+        let best_pos = (start..=ub)
+            .chain((lb..start).rev())
+            .min_by_key(|&p| sizes[p - lb])
+            .unwrap_or(start);
+        self.walk_block(layout, far, best_pos, lb, &mut sizes);
+        sizes[best_pos - lb]
+    }
 
-        // Walk down to the upper bound, then up to the lower bound,
-        // measuring after each single-position move.
-        let mut pos = start;
-        while pos < ub {
-            layout.swap_with_next(self, pos);
-            pos += 1;
-            let s = self.allocated_nodes();
-            if s < best {
-                best = s;
-                best_pos = pos;
+    /// Moves the block at sequence position `from` to `to` one position at
+    /// a time, recording the size after each move in `sizes[p - lb]`.
+    fn walk_block(
+        &mut self,
+        layout: &mut BlockLayout,
+        from: usize,
+        to: usize,
+        lb: usize,
+        sizes: &mut [usize],
+    ) {
+        let mut pos = from;
+        while pos != to {
+            if pos < to {
+                layout.swap_with_next(self, pos);
+                pos += 1;
+            } else {
+                layout.swap_with_next(self, pos - 1);
+                pos -= 1;
             }
+            sizes[pos - lb] = self.allocated_nodes();
         }
-        while pos > lb {
-            layout.swap_with_next(self, pos - 1);
-            pos -= 1;
-            let s = self.allocated_nodes();
-            if s < best {
-                best = s;
-                best_pos = pos;
-            }
-        }
-        // Return to the best position seen.
-        while pos < best_pos {
-            layout.swap_with_next(self, pos);
-            pos += 1;
-        }
-        best
     }
 }
 

@@ -437,3 +437,198 @@ fn reordering_keeps_the_arena_canonical() {
         bdd.check_canonical();
     }
 }
+
+/// Block sifting as `Bdd::sift` did it before it walked to the nearer end
+/// first: every block walks down to the bottom of its window, then up to
+/// the top, then back down to the first strict minimum it met. Built on
+/// the public API only; `size` stands in for the allocation count, which
+/// reference-counted sifting keeps equal to it.
+struct ReferenceSifter {
+    /// `block -> vars top-to-bottom`.
+    blocks: Vec<Vec<Var>>,
+    /// Current block sequence, root-most first.
+    seq: Vec<usize>,
+    /// `precedes[a][b]`: block `a` must stay above block `b`.
+    precedes: Vec<Vec<bool>>,
+}
+
+impl ReferenceSifter {
+    fn new(bdd: &Bdd, groups: &[Vec<Var>], precedence: &[(Var, Var)]) -> ReferenceSifter {
+        let mut blocks = groups.to_vec();
+        for v in bdd.order() {
+            if !groups.iter().any(|g| g.contains(&v)) {
+                blocks.push(vec![v]);
+            }
+        }
+        let block_of = |v: Var| blocks.iter().position(|b| b.contains(&v)).unwrap();
+        let mut precedes = vec![vec![false; blocks.len()]; blocks.len()];
+        for &(a, b) in precedence {
+            if block_of(a) != block_of(b) {
+                precedes[block_of(a)][block_of(b)] = true;
+            }
+        }
+        let mut seq: Vec<usize> = (0..blocks.len()).collect();
+        seq.sort_by_key(|&b| bdd.level(blocks[b][0]));
+        ReferenceSifter {
+            blocks,
+            seq,
+            precedes,
+        }
+    }
+
+    fn sift(&mut self, bdd: &mut Bdd, roots: &[NodeRef], passes: usize) -> usize {
+        bdd.gc(roots);
+        let mut best = bdd.size(roots);
+        for _ in 0..passes {
+            let before = best;
+            let per_var = live_nodes_per_var(bdd, roots);
+            let mut weights: Vec<(usize, usize)> = (0..self.blocks.len())
+                .map(|b| (b, self.blocks[b].iter().map(|v| per_var[v.index()]).sum()))
+                .collect();
+            weights.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+            for (block, weight) in weights {
+                if weight > 0 {
+                    best = self.sift_block(bdd, roots, block, best);
+                }
+            }
+            if best >= before {
+                break;
+            }
+        }
+        best
+    }
+
+    fn sift_block(
+        &mut self,
+        bdd: &mut Bdd,
+        roots: &[NodeRef],
+        block: usize,
+        mut best: usize,
+    ) -> usize {
+        let start = self.seq.iter().position(|&b| b == block).unwrap();
+        let (mut lb, mut ub) = (0, self.seq.len() - 1);
+        for (i, &other) in self.seq.iter().enumerate() {
+            if self.precedes[other][block] && i < start {
+                lb = lb.max(i + 1);
+            }
+            if self.precedes[block][other] && i > start {
+                ub = ub.min(i - 1);
+            }
+        }
+        let (mut pos, mut best_pos) = (start, start);
+        while pos < ub {
+            self.swap_with_next(bdd, pos);
+            pos += 1;
+            let s = bdd.size(roots);
+            if s < best {
+                (best, best_pos) = (s, pos);
+            }
+        }
+        while pos > lb {
+            self.swap_with_next(bdd, pos - 1);
+            pos -= 1;
+            let s = bdd.size(roots);
+            if s < best {
+                (best, best_pos) = (s, pos);
+            }
+        }
+        while pos < best_pos {
+            self.swap_with_next(bdd, pos);
+            pos += 1;
+        }
+        best
+    }
+
+    fn swap_with_next(&mut self, bdd: &mut Bdd, pos: usize) {
+        let a = self.blocks[self.seq[pos]].len();
+        let b = self.blocks[self.seq[pos + 1]].len();
+        let t: usize = self.seq[..pos].iter().map(|&x| self.blocks[x].len()).sum();
+        for k in 1..=a {
+            for j in 0..b {
+                bdd.swap_levels(t + a - k + j);
+            }
+        }
+        self.seq.swap(pos, pos + 1);
+    }
+}
+
+/// Arena nodes reachable from `roots`, counted per labelling variable (a
+/// handle and its complement share one node).
+fn live_nodes_per_var(bdd: &mut Bdd, roots: &[NodeRef]) -> Vec<usize> {
+    let mut counts = vec![0; bdd.num_vars()];
+    let mut seen = std::collections::HashSet::new();
+    let mut stack = roots.to_vec();
+    while let Some(n) = stack.pop() {
+        let node = n.min(bdd.not(n));
+        if node.is_terminal() || !seen.insert(node) {
+            continue;
+        }
+        counts[bdd.node_var(node).unwrap().index()] += 1;
+        stack.push(bdd.lo(node));
+        stack.push(bdd.hi(node));
+    }
+    counts
+}
+
+/// A seeded multi-root sum-of-products problem with contiguous groups,
+/// precedences consistent with the declaration order, and 1–3 passes.
+fn sift_problem(case: u64) -> (Bdd, Vec<NodeRef>, SiftConfig) {
+    let mut rng = Rng::new(0x51f7 ^ case.wrapping_mul(0x9e37_79b9));
+    let nvars = rng.usize(4..11);
+    let mut bdd = Bdd::new();
+    let vars: Vec<Var> = (0..nvars).map(|i| bdd.new_var(format!("x{i}"))).collect();
+    let roots: Vec<NodeRef> = (0..rng.usize(1..3))
+        .map(|_| {
+            let mut f = NodeRef::FALSE;
+            for _ in 0..rng.usize(1..7) {
+                let mut term = NodeRef::TRUE;
+                for _ in 0..rng.usize(1..4) {
+                    let v = vars[rng.usize(0..nvars)];
+                    let lit = if rng.bool() { bdd.var(v) } else { bdd.nvar(v) };
+                    term = bdd.and(term, lit);
+                }
+                f = bdd.or(f, term);
+            }
+            f
+        })
+        .collect();
+    let mut groups = Vec::new();
+    let mut i = 0;
+    while i < nvars {
+        let len = if rng.chance(0.3) { rng.usize(2..4) } else { 1 };
+        if len > 1 && i + len <= nvars {
+            groups.push(vars[i..i + len].to_vec());
+        }
+        i += len;
+    }
+    let precedence = (0..rng.usize(0..nvars))
+        .map(|_| {
+            let a = rng.usize(0..nvars - 1);
+            (vars[a], vars[rng.usize(a + 1..nvars)])
+        })
+        .collect();
+    let config = SiftConfig {
+        precedence,
+        groups,
+        max_passes: 1 + (case % 3) as usize,
+    };
+    (bdd, roots, config)
+}
+
+#[test]
+fn sifting_matches_a_reference_down_then_up_walk() {
+    for case in 0..CASES {
+        let (mut fast, roots, config) = sift_problem(case);
+        let size = fast.sift(&roots, &config);
+        let (mut slow, slow_roots, _) = sift_problem(case);
+        let mut reference = ReferenceSifter::new(&slow, &config.groups, &config.precedence);
+        let want = reference.sift(&mut slow, &slow_roots, config.max_passes);
+        assert_eq!(
+            fast.order(),
+            slow.order(),
+            "case={case}: final orders differ"
+        );
+        assert_eq!(size, want, "case={case}: final sizes differ");
+        assert_eq!(size, fast.size(&roots), "case={case}");
+    }
+}

@@ -26,7 +26,7 @@
 //! incompletely specified function; the s-graph builder resolves don't
 //! cares by emitting no assignment (the "cheapest option" in the paper).
 
-use crate::machine::{Cfsm, Guard};
+use crate::machine::{Cfsm, Guard, Transition};
 use polis_bdd::encode::MvVar;
 use polis_bdd::reorder::SiftConfig;
 use polis_bdd::{Bdd, NodeRef};
@@ -116,6 +116,8 @@ pub struct ReactiveFn {
     inputs: Vec<RfVar>,
     outputs: Vec<RfVar>,
     loc: HashMap<polis_bdd::Var, VarLoc>,
+    /// Per output, its input support (see [`ReactiveFn::output_supports`]).
+    supports: Vec<Vec<polis_bdd::Var>>,
 }
 
 impl ReactiveFn {
@@ -211,6 +213,7 @@ impl ReactiveFn {
             inputs,
             outputs,
             loc: HashMap::new(),
+            supports: Vec::new(),
         };
 
         let mut conds: Vec<NodeRef> = Vec::with_capacity(cfsm.num_transitions());
@@ -228,45 +231,55 @@ impl ReactiveFn {
             conds.push(cond);
         }
         let fired = rf.bdd.or_all(conds.iter().copied());
+        rf.supports = supports_from_conds(&mut rf.bdd, &rf.outputs, cfsm, &conds, fired);
 
         // -- χ accumulation --
-        let consume_pos = rf.bdd.var(consume);
-        let consume_neg = rf.bdd.nvar(consume);
+        // Each term is `cond ∧ cube`, with the output cube built first and
+        // bottom-up: every output lies below every input in the declaration
+        // order, so each literal lands on top of the cube in one `mk`, and
+        // the final AND copies `cond` once with the cube at its leaves.
         let action_vars: Vec<polis_bdd::Var> = rf
             .outputs
             .iter()
             .filter(|v| matches!(v.kind, RfVarKind::Action { .. }))
             .map(|v| v.bits[0])
             .collect();
+        // The outputs of transition `t`, or of the default reaction (`None`).
+        let output_cube = |bdd: &mut Bdd, t: Option<&Transition>| {
+            let mut cube = match (&next_ctrl, t) {
+                (Some(mv), Some(t)) => mv.eq_const(bdd, t.to as u64),
+                _ => NodeRef::TRUE,
+            };
+            for (ai, &av) in action_vars.iter().enumerate().rev() {
+                let lit = if t.is_some_and(|t| t.actions.contains(&ai)) {
+                    bdd.var(av)
+                } else {
+                    bdd.nvar(av)
+                };
+                cube = bdd.and(lit, cube);
+            }
+            let lit = if t.is_some() {
+                bdd.var(consume)
+            } else {
+                bdd.nvar(consume)
+            };
+            bdd.and(lit, cube)
+        };
 
         let mut chi = NodeRef::FALSE;
         for (t, &cond) in cfsm.transitions().iter().zip(&conds) {
             if cond.is_false() {
                 continue;
             }
-            let mut term = rf.bdd.and(cond, consume_pos);
-            for (ai, &av) in action_vars.iter().enumerate() {
-                let lit = if t.actions.contains(&ai) {
-                    rf.bdd.var(av)
-                } else {
-                    rf.bdd.nvar(av)
-                };
-                term = rf.bdd.and(term, lit);
-            }
-            if let Some(mv) = &next_ctrl {
-                let eq = mv.eq_const(&mut rf.bdd, t.to as u64);
-                term = rf.bdd.and(term, eq);
-            }
+            let cube = output_cube(&mut rf.bdd, Some(t));
+            let term = rf.bdd.and(cond, cube);
             chi = rf.bdd.or(chi, term);
         }
         // Default: nothing fired, nothing emitted, next state unconstrained
         // (don't care — the implementation keeps the state by not writing).
-        let mut dflt = rf.bdd.not(fired);
-        dflt = rf.bdd.and(dflt, consume_neg);
-        for &av in &action_vars {
-            let lit = rf.bdd.nvar(av);
-            dflt = rf.bdd.and(dflt, lit);
-        }
+        let not_fired = rf.bdd.not(fired);
+        let cube = output_cube(&mut rf.bdd, None);
+        let dflt = rf.bdd.and(not_fired, cube);
         chi = rf.bdd.or(chi, dflt);
 
         rf.chi = chi;
@@ -335,37 +348,9 @@ impl ReactiveFn {
 
     /// For each output variable, the set of *input* variables in its
     /// support: the inputs on which the (partially specified) output
-    /// function essentially depends.
-    pub fn output_supports(&mut self) -> Vec<Vec<polis_bdd::Var>> {
-        let all_output_bits: Vec<polis_bdd::Var> = self
-            .outputs
-            .iter()
-            .flat_map(|o| o.bits.iter().copied())
-            .collect();
-        let mut out = Vec::with_capacity(self.outputs.len());
-        for oi in 0..self.outputs.len() {
-            let own: Vec<polis_bdd::Var> = self.outputs[oi].bits.clone();
-            let others = all_output_bits.iter().copied().filter(|b| !own.contains(b));
-            let others_cube = self.bdd.cube(others);
-            let h = self.bdd.exists_cube(self.chi, others_cube);
-            let sup: Vec<polis_bdd::Var> = self
-                .bdd
-                .support(h)
-                .into_iter()
-                .filter(|v| {
-                    matches!(
-                        self.loc.get(v),
-                        Some(VarLoc {
-                            side: Side::Input,
-                            ..
-                        })
-                    )
-                })
-                .collect();
-            out.push(sup);
-        }
-        self.bdd.gc(&[self.chi]);
-        out
+    /// function essentially depends. Computed once by [`ReactiveFn::build`].
+    pub fn output_supports(&self) -> &[Vec<polis_bdd::Var>] {
+        &self.supports
     }
 
     /// Optimizes the variable order by a single sifting pass under the
@@ -399,8 +384,7 @@ impl ReactiveFn {
                 }
             }
             OrderScheme::OutputsAfterSupport => {
-                let supports = self.output_supports();
-                for (oi, sup) in supports.iter().enumerate() {
+                for (oi, sup) in self.supports.iter().enumerate() {
                     for &iv in sup {
                         precedence.push((iv, self.outputs[oi].bits[0]));
                     }
@@ -415,6 +399,73 @@ impl ReactiveFn {
         let roots = [self.chi];
         self.bdd.sift(&roots, &config)
     }
+}
+
+/// Each output's input support, read off the transition conditions
+/// instead of quantifying `χ` once per output.
+///
+/// The conditions mention only inputs and are pairwise disjoint (one
+/// control state each, priority-resolved within a state), and
+/// `χ = ∨ₜ condₜ ∧ cubeₜ ∨ ¬fired ∧ dflt`. Quantifying every other output
+/// out of `χ` leaves:
+///
+/// * for a Boolean output `o`, `ite(o, Pₒ, Nₒ)`, where `Pₒ` is the
+///   disjunction of the conditions of the transitions that set `o`, and
+///   `Nₒ`, the other conditions or `¬fired`, is `¬Pₒ` by disjointness.
+///   So the support is that of `Pₒ` (of `fired` for `consume`);
+/// * for `next_ctrl`, `∨ₛ Cₛ ∧ (next = s) ∨ ¬fired`, where `Cₛ` is the
+///   disjunction of the conditions of the transitions into `s`. Its
+///   cofactor at the code of `s` is `Cₛ ∨ ¬fired`, and at a code no state
+///   uses it is `¬fired`, so the support is the union of theirs.
+///
+/// Supports are listed in level order, which is declaration order here.
+fn supports_from_conds(
+    bdd: &mut Bdd,
+    outputs: &[RfVar],
+    cfsm: &Cfsm,
+    conds: &[NodeRef],
+    fired: NodeRef,
+) -> Vec<Vec<polis_bdd::Var>> {
+    let union_of = |bdd: &mut Bdd, select: &dyn Fn(&Transition) -> bool| {
+        let fs = cfsm
+            .transitions()
+            .iter()
+            .zip(conds)
+            .filter(|(t, _)| select(t))
+            .map(|(_, &c)| c);
+        bdd.or_all(fs)
+    };
+    outputs
+        .iter()
+        .map(|o| {
+            let fs = match o.kind {
+                RfVarKind::Consume => vec![fired],
+                RfVarKind::Action { action } => {
+                    vec![union_of(bdd, &|t| t.actions.contains(&action))]
+                }
+                RfVarKind::NextCtrl => {
+                    let not_fired = bdd.not(fired);
+                    let mut fs: Vec<NodeRef> = (0..cfsm.states().len())
+                        .map(|s| {
+                            let into = union_of(bdd, &|t| t.to == s);
+                            bdd.or(into, not_fired)
+                        })
+                        .collect();
+                    if !o.domain.is_power_of_two() {
+                        fs.push(not_fired);
+                    }
+                    fs
+                }
+                RfVarKind::Present { .. } | RfVarKind::Ctrl | RfVarKind::Test { .. } => {
+                    unreachable!("input variable among the outputs")
+                }
+            };
+            let mut sup: Vec<polis_bdd::Var> = fs.iter().flat_map(|&f| bdd.support(f)).collect();
+            sup.sort_by_key(|&v| bdd.level(v));
+            sup.dedup();
+            sup
+        })
+        .collect()
 }
 
 fn guard_to_bdd(
@@ -600,7 +651,7 @@ mod tests {
 
     #[test]
     fn output_supports_are_plausible() {
-        let mut rf = ReactiveFn::build(&simple());
+        let rf = ReactiveFn::build(&simple());
         let sups = rf.output_supports();
         let pc = bit_of(&rf, "present_c");
         let tq = bit_of(&rf, "test_a_eq_c");
