@@ -264,6 +264,7 @@ impl Parser {
             } else {
                 b.output_pure(name.clone());
             }
+            env.outputs.insert(name);
             if *self.peek() == Tok::Comma {
                 self.bump();
             } else {
@@ -273,7 +274,7 @@ impl Parser {
         self.expect(Tok::Semi)
     }
 
-    fn var_decl(&mut self, b: &mut CfsmBuilder, _env: &mut ModuleEnv) -> Result<(), ParseError> {
+    fn var_decl(&mut self, b: &mut CfsmBuilder, env: &mut ModuleEnv) -> Result<(), ParseError> {
         self.expect(Tok::Var)?;
         let name = self.ident()?;
         self.expect(Tok::Colon)?;
@@ -281,6 +282,7 @@ impl Parser {
         self.expect(Tok::Assign)?;
         let init = self.int()?;
         self.expect(Tok::Semi)?;
+        env.vars.insert(name.clone());
         b.state_var(name, ty, Value::Int(init));
         Ok(())
     }
@@ -412,11 +414,21 @@ impl Parser {
         }
     }
 
+    /// An emission or assignment; its target must already be declared in
+    /// the module (an output or a `var`).
     fn action(&mut self, env: &mut ModuleEnv) -> Result<ParsedAction, ParseError> {
         match self.peek().clone() {
             Tok::Emit => {
                 self.bump();
+                let (line, col) = self.here();
                 let sig = self.ident()?;
+                if !env.outputs.contains(&sig) {
+                    return Err(ParseError {
+                        line,
+                        col,
+                        message: format!("unknown output `{sig}` in emit"),
+                    });
+                }
                 let action = if *self.peek() == Tok::LParen {
                     self.bump();
                     let e = self.expr(env)?;
@@ -429,6 +441,9 @@ impl Parser {
                 Ok(action)
             }
             Tok::Ident(var) => {
+                if !env.vars.contains(&var) {
+                    return Err(self.error(format!("unknown state variable `{var}` in assignment")));
+                }
                 self.bump();
                 self.expect(Tok::Assign)?;
                 let e = self.expr(env)?;
@@ -765,6 +780,8 @@ struct ModuleEnv {
     inputs: Vec<String>,
     valued_inputs: std::collections::BTreeSet<String>,
     valued_outputs: std::collections::BTreeSet<String>,
+    outputs: std::collections::BTreeSet<String>,
+    vars: std::collections::BTreeSet<String>,
     states: HashMap<String, StateId>,
     tests: HashMap<Expr, TestId>,
 }

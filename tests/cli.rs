@@ -472,6 +472,27 @@ fn errors_are_reported_with_positions() {
 }
 
 #[test]
+fn undeclared_action_targets_are_diagnosed_without_panicking() {
+    let dir = tmpdir("undeclared");
+    let simple = std::fs::read_to_string("examples/specs/simple.pol").unwrap();
+    for (from, to, want) in [
+        (
+            "a := 0; emit",
+            "b := 0; emit",
+            "6:60: unknown state variable `b`",
+        ),
+        ("emit y;", "emit zz;", "6:73: unknown output `zz`"),
+    ] {
+        let spec = write(&dir, "mutated.pol", &simple.replacen(from, to, 1));
+        let out = bin().args(["synth", &spec]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(want), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
 fn style_and_target_flags_change_output() {
     let dir = tmpdir("style");
     let spec = write(&dir, "pp.pol", SPEC);
