@@ -245,14 +245,6 @@ impl Value {
         }
     }
 
-    /// The default (reset) value of a type: `false` or `0`.
-    pub fn default_of(ty: Type) -> Value {
-        match ty {
-            Type::Bool => Value::Bool(false),
-            Type::Int { .. } => Value::Int(0),
-        }
-    }
-
     /// Wraps the value to `ty`'s range; booleans pass through unchanged when
     /// `ty` is boolean, integers are clamped modularly.
     pub fn coerce(self, ty: Type) -> Value {
