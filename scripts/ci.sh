@@ -101,4 +101,9 @@ result="$(python3 perfbench/run.py --workload synth_fleet --seed 1 --seconds 1 -
 grep -qF '"correct": true' <<<"$result" && grep -qF '"failed": 0,' <<<"$result" \
   || { echo "FAIL: benchmark smoke result: $result"; exit 1; }
 
+echo "==> benchmark smoke: one second of verify_relay, checked and failure-free"
+result="$(python3 perfbench/run.py --workload verify_relay --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+grep -qF '"correct": true' <<<"$result" && grep -qF '"failed": 0,' <<<"$result" \
+  || { echo "FAIL: benchmark smoke result: $result"; exit 1; }
+
 echo "CI OK"
