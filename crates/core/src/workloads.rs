@@ -150,7 +150,7 @@ mod tests {
         let find = |sig: &str| {
             sim.trace()
                 .iter()
-                .find(|t| &*t.signal == sig)
+                .find(|t| t.signal == sig)
                 .unwrap_or_else(|| panic!("no {sig} in {:?}", sim.trace()))
                 .value
         };
@@ -174,7 +174,7 @@ mod tests {
         }
         stim.push(Stimulus::pure(900_000, "belt_on"));
         sim.run(&stim);
-        let sigs: Vec<&str> = sim.trace().iter().map(|t| &*t.signal).collect();
+        let sigs: Vec<&str> = sim.trace().iter().map(|t| t.signal).collect();
         assert_eq!(sigs, vec!["alarm_on", "alarm_off"]);
     }
 
@@ -193,7 +193,7 @@ mod tests {
             Stimulus::pure(700_000, "tick"),
         ];
         sim.run(&stim);
-        assert!(sim.trace().iter().all(|t| &*t.signal != "alarm_on"));
+        assert!(sim.trace().iter().all(|t| t.signal != "alarm_on"));
     }
 
     #[test]
@@ -210,13 +210,13 @@ mod tests {
         let mode = sim
             .trace()
             .iter()
-            .find(|t| &*t.signal == "mode_cmd")
+            .find(|t| t.signal == "mode_cmd")
             .expect("mode command");
         assert_eq!(mode.value, Some(2));
         let valve = sim
             .trace()
             .iter()
-            .find(|t| &*t.signal == "valve")
+            .find(|t| t.signal == "valve")
             .expect("valve update");
         assert_eq!(valve.value, Some(90));
     }
@@ -230,6 +230,6 @@ mod tests {
             Stimulus::pure(100_000, "wd_tick"),
         ];
         sim.run(&stim);
-        assert!(sim.trace().iter().any(|t| &*t.signal == "wd_alarm"));
+        assert!(sim.trace().iter().any(|t| t.signal == "wd_alarm"));
     }
 }

@@ -28,10 +28,11 @@
 mod gen_c;
 mod sched;
 mod sim;
+mod trace;
 
 pub use gen_c::emit_rtos_c;
 pub use sched::{rate_monotonic, rate_monotonic_nonpreemptive, SchedAnalysis, TaskModel};
 pub use sim::{
     DeliveryMode, RtosConfig, RtosOverhead, SchedulingPolicy, SimStats, Simulator, Stimulus,
-    TraceEntry,
 };
+pub use trace::{Trace, TraceEntry, TraceIter};

@@ -1,5 +1,6 @@
 //! The co-simulation engine.
 
+use crate::trace::{Trace, TraceLog};
 use polis_cfsm::{value_var_name, CfsmState, Network, OrderScheme, ReactiveFn};
 use polis_expr::MapEnv;
 use polis_sgraph::{build, BufferPolicy, SGraph};
@@ -7,7 +8,6 @@ use polis_vm::{
     assemble, compile, run_reaction, ObjectCode, Profile, ReactionHost, VmMemory, VmProgram,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Scheduling policy for enabled software CFSMs (Section IV-A: "a user
 /// chooses off-line one of the several available scheduling policies").
@@ -144,22 +144,6 @@ impl Stimulus {
     }
 }
 
-/// One emission observed during simulation.
-///
-/// The names are shared: every entry for one signal, and every entry by
-/// one machine, points at the same string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Completion time of the emitting reaction.
-    pub time: u64,
-    /// Signal name.
-    pub signal: Arc<str>,
-    /// Carried value.
-    pub value: Option<i64>,
-    /// Emitting machine name.
-    pub by: Arc<str>,
-}
-
 /// Aggregate simulation metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -196,7 +180,6 @@ enum Runtime {
 }
 
 struct Task {
-    name: Arc<str>,
     cfsm: polis_cfsm::Cfsm,
     runtime: Runtime,
     /// Signal id of each output.
@@ -248,9 +231,11 @@ pub struct Simulator {
     config: RtosConfig,
     tasks: Vec<Task>,
     /// Signal name -> id.
-    ids: HashMap<Arc<str>, usize>,
+    ids: HashMap<String, usize>,
     /// Signal name per id.
-    signals: Vec<Arc<str>>,
+    signals: Vec<String>,
+    /// Machine name per task.
+    machines: Vec<String>,
     /// Delivery mode per signal id.
     delivery: Vec<DeliveryMode>,
     /// `(task, input index)` delivery fan-out per signal id, in network
@@ -261,7 +246,7 @@ pub struct Simulator {
     host: SnapshotHost,
     rr_next: usize,
     now: u64,
-    trace: Vec<TraceEntry>,
+    trace: TraceLog,
     stats: SimStats,
 }
 
@@ -305,8 +290,8 @@ impl Simulator {
         assert_eq!(graphs.len(), net.cfsms().len(), "one graph per machine");
         // Every signal a machine reads or writes gets an id, and so does
         // every signal with a configured delivery mode.
-        let mut ids: HashMap<Arc<str>, usize> = HashMap::new();
-        let mut signals: Vec<Arc<str>> = Vec::new();
+        let mut ids: HashMap<String, usize> = HashMap::new();
+        let mut signals: Vec<String> = Vec::new();
         let names = net
             .cfsms()
             .iter()
@@ -315,9 +300,8 @@ impl Simulator {
             .chain(config.delivery.keys().map(String::as_str));
         for name in names {
             if !ids.contains_key(name) {
-                let name: Arc<str> = name.into();
-                ids.insert(name.clone(), signals.len());
-                signals.push(name);
+                ids.insert(name.to_owned(), signals.len());
+                signals.push(name.to_owned());
             }
         }
         let mut tasks = Vec::new();
@@ -339,7 +323,6 @@ impl Simulator {
                 consumers[ids[sig.name()]].push((ti, ii));
             }
             tasks.push(Task {
-                name: m.name().into(),
                 cfsm: m.clone(),
                 runtime,
                 outputs: m.outputs().iter().map(|s| ids[s.name()]).collect(),
@@ -361,6 +344,7 @@ impl Simulator {
         }
         Simulator {
             config,
+            machines: tasks.iter().map(|t| t.cfsm.name().to_owned()).collect(),
             tasks,
             ids,
             signals,
@@ -370,7 +354,7 @@ impl Simulator {
             host: SnapshotHost::default(),
             rr_next: 0,
             now: 0,
-            trace: Vec::new(),
+            trace: TraceLog::default(),
             stats: SimStats {
                 reactions: vec![0; n],
                 fired: vec![0; n],
@@ -381,8 +365,8 @@ impl Simulator {
     }
 
     /// The observed emission trace.
-    pub fn trace(&self) -> &[TraceEntry] {
-        &self.trace
+    pub fn trace(&self) -> Trace<'_> {
+        Trace::new(&self.trace, &self.signals, &self.machines)
     }
 
     /// Aggregate statistics.
@@ -486,9 +470,9 @@ impl Simulator {
         // Running maximum of the `output` emission times, in trace order:
         // the first entry reaching a stimulus's time is its response.
         let reached: Vec<u64> = self
-            .trace
+            .trace()
             .iter()
-            .filter(|t| &*t.signal == output)
+            .filter(|t| t.signal == output)
             .scan(0, |max, t| {
                 *max = t.time.max(*max);
                 Some(*max)
@@ -577,7 +561,7 @@ impl Simulator {
         for k in start..self.host.emissions.len() {
             let (output, value) = self.host.emissions[k];
             let sig = self.tasks[by].outputs[output];
-            self.record(sig, value, by, self.now);
+            self.trace.push(self.now, sig, value, by);
             self.deliver(sig, value, running);
 
             // Chained consumers execute immediately as part of this task.
@@ -594,15 +578,6 @@ impl Simulator {
             }
         }
         self.host.emissions.truncate(start);
-    }
-
-    fn record(&mut self, sig: usize, value: Option<i64>, by: usize, time: u64) {
-        self.trace.push(TraceEntry {
-            time,
-            signal: self.signals[sig].clone(),
-            value,
-            by: self.tasks[by].name.clone(),
-        });
     }
 
     /// Charges the ISR or polling routine for one environment event and
@@ -672,7 +647,7 @@ impl Simulator {
         // does not advance (the reaction runs in parallel).
         let at = self.now + self.config.hw_reaction_cycles;
         for (sig, value) in emissions {
-            self.record(sig, value, ti, at);
+            self.trace.push(at, sig, value, ti);
             self.deliver(sig, value, running);
         }
     }

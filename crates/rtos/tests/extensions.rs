@@ -83,14 +83,14 @@ fn hardware_cfsm_reacts_instantly_off_cpu() {
     let m1 = sim
         .trace()
         .iter()
-        .find(|t| &*t.signal == "m1")
+        .find(|t| t.signal == "m1")
         .expect("hw emission");
-    assert_eq!(&*m1.by, "a");
+    assert_eq!(m1.by, "a");
     // ISR (20 cycles) + 1 hardware cycle: long before any software
     // reaction could have finished.
     assert!(m1.time <= 25, "hw emission at {}", m1.time);
     // The chain still completes through the software stages.
-    assert!(sim.trace().iter().any(|t| &*t.signal == "out"));
+    assert!(sim.trace().iter().any(|t| t.signal == "out"));
     // Only software reactions consume CPU: two tasks ran.
     assert_eq!(sim.stats().reactions, vec![1, 1, 1]);
 }
@@ -132,14 +132,11 @@ fn hardware_cfsm_carries_values() {
     let ys: Vec<Option<i64>> = sim
         .trace()
         .iter()
-        .filter(|t| &*t.signal == "y")
+        .filter(|t| t.signal == "y")
         .map(|t| t.value)
         .collect();
     assert_eq!(ys, vec![Some(6), Some(18)]);
-    assert_eq!(
-        sim.trace().iter().filter(|t| &*t.signal == "big").count(),
-        1
-    );
+    assert_eq!(sim.trace().iter().filter(|t| t.signal == "big").count(), 1);
 }
 
 #[test]
@@ -194,8 +191,7 @@ fn preemption_runs_urgent_task_inside_the_window() {
         "preemptive latency {lat_pre} > non-preemptive {lat_no}"
     );
     // Behaviour is identical either way.
-    let count =
-        |sim: &Simulator, sig: &str| sim.trace().iter().filter(|t| &*t.signal == sig).count();
+    let count = |sim: &Simulator, sig: &str| sim.trace().iter().filter(|t| t.signal == sig).count();
     for sig in ["slow_done", "fast_done"] {
         assert_eq!(count(&pre, sig), count(&nopre, sig), "{sig}");
     }
@@ -231,8 +227,8 @@ fn hw_sw_snapshot_consistency_is_preserved() {
     let sigs: Vec<&str> = sim
         .trace()
         .iter()
-        .filter(|t| &*t.by == "gate")
-        .map(|t| &*t.signal)
+        .filter(|t| t.by == "gate")
+        .map(|t| t.signal)
         .collect();
     assert_eq!(sigs, vec!["seen_x"], "trace: {:?}", sim.trace());
 }

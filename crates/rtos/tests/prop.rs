@@ -49,11 +49,11 @@ fn rtos_invariants_hold_for_every_schedule() {
             }
             // 3. Every trace entry is attributed to a network machine.
             for t in sim.trace() {
-                assert!(net.machine_index(&t.by).is_some(), "case={case}");
+                assert!(net.machine_index(t.by).is_some(), "case={case}");
             }
             // 4. Conservation: each relay's firings equal its emissions.
             for (mi, m) in net.cfsms().iter().enumerate() {
-                let emitted = sim.trace().iter().filter(|t| &*t.by == m.name()).count() as u64;
+                let emitted = sim.trace().iter().filter(|t| t.by == m.name()).count() as u64;
                 assert_eq!(
                     emitted,
                     stats.fired[mi],
@@ -136,7 +136,7 @@ fn naive_worst_latency(
         let response = sim
             .trace()
             .iter()
-            .find(|t| &*t.signal == output && t.time >= s.time)?;
+            .find(|t| t.signal == output && t.time >= s.time)?;
         let lat = response.time - s.time;
         worst = Some(worst.map_or(lat, |w: u64| w.max(lat)));
     }

@@ -32,12 +32,12 @@ fn pipeline_propagates_events_in_order() {
     let outs: Vec<&str> = sim
         .trace()
         .iter()
-        .filter(|t| &*t.signal == "out")
-        .map(|t| &*t.by)
+        .filter(|t| t.signal == "out")
+        .map(|t| t.by)
         .collect();
     assert_eq!(outs, vec!["c", "c"], "trace: {:?}", sim.trace());
     // m1 is emitted before m2 before out each round.
-    let times: Vec<(&str, u64)> = sim.trace().iter().map(|t| (&*t.signal, t.time)).collect();
+    let times: Vec<(&str, u64)> = sim.trace().iter().map(|t| (t.signal, t.time)).collect();
     let first = |sig: &str| times.iter().find(|(s, _)| *s == sig).unwrap().1;
     assert!(first("m1") <= first("m2"));
     assert!(first("m2") <= first("out"));
@@ -58,7 +58,7 @@ fn one_place_buffer_overwrites_fast_events() {
     let mut sim = Simulator::build(&net, RtosConfig::default());
     // Both events at t=0: the second lands before the task runs.
     sim.run(&[Stimulus::pure(0, "e"), Stimulus::pure(0, "e")]);
-    let seen = sim.trace().iter().filter(|t| &*t.signal == "seen").count();
+    let seen = sim.trace().iter().filter(|t| t.signal == "seen").count();
     assert_eq!(seen, 1, "overwritten event must be lost");
     assert_eq!(sim.stats().overwritten, vec![1]);
 }
@@ -85,8 +85,8 @@ fn events_preserved_when_no_transition_fires() {
     let fired: Vec<&str> = sim
         .trace()
         .iter()
-        .filter(|t| &*t.signal == "go")
-        .map(|t| &*t.by)
+        .filter(|t| t.signal == "go")
+        .map(|t| t.by)
         .collect();
     assert_eq!(fired, vec!["both"], "a must survive the empty reaction");
     // The task ran at least twice (once unfired, once fired).
@@ -119,7 +119,7 @@ fn snapshot_race_of_section_iv_d() {
     // x arrives; while the task reacts to x, y arrives (within the
     // reaction's cycle window). The snapshot shows x only; y is pending.
     sim.run(&[Stimulus::pure(0, "x"), Stimulus::pure(60, "y")]);
-    let sigs: Vec<&str> = sim.trace().iter().map(|t| &*t.signal).collect();
+    let sigs: Vec<&str> = sim.trace().iter().map(|t| t.signal).collect();
     assert_eq!(
         sigs,
         vec!["seen_x", "y_only"],
@@ -147,8 +147,8 @@ fn static_priority_dispatches_urgent_task_first() {
     let mut sim = Simulator::build(&net, config);
     // Both enabled at the same instant.
     sim.run(&[Stimulus::pure(0, "e_low"), Stimulus::pure(0, "e_high")]);
-    let first = &sim.trace()[0];
-    assert_eq!(&*first.by, "high", "trace: {:?}", sim.trace());
+    let first = sim.trace().get(0).unwrap();
+    assert_eq!(first.by, "high", "trace: {:?}", sim.trace());
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn polling_defers_delivery() {
     // Interrupt-driven run.
     let mut fast = Simulator::build(&net, RtosConfig::default());
     fast.run(&[Stimulus::pure(10, "e")]);
-    let t_int = fast.trace()[0].time;
+    let t_int = fast.trace().get(0).unwrap().time;
     // Polled at a coarse period.
     let mut config = RtosConfig::default();
     config
@@ -182,7 +182,7 @@ fn polling_defers_delivery() {
         .insert("e".to_owned(), DeliveryMode::Polled { period: 5_000 });
     let mut slow = Simulator::build(&net, config);
     slow.run(&[Stimulus::pure(10, "e")]);
-    let t_poll = slow.trace()[0].time;
+    let t_poll = slow.trace().get(0).unwrap().time;
     assert!(
         t_poll >= 5_000 && t_poll > t_int,
         "polled {t_poll} vs interrupt {t_int}"
@@ -223,11 +223,11 @@ fn valued_events_carry_data_through_the_network() {
     let ys: Vec<Option<i64>> = sim
         .trace()
         .iter()
-        .filter(|t| &*t.signal == "y")
+        .filter(|t| t.signal == "y")
         .map(|t| t.value)
         .collect();
     assert_eq!(ys, vec![Some(6), Some(18)]);
-    let highs = sim.trace().iter().filter(|t| &*t.signal == "high").count();
+    let highs = sim.trace().iter().filter(|t| t.signal == "high").count();
     assert_eq!(highs, 1);
 }
 
@@ -266,7 +266,7 @@ fn state_persists_across_reactions() {
     let mut sim = Simulator::build(&net, RtosConfig::default());
     let stim: Vec<Stimulus> = (0..9).map(|i| Stimulus::pure(i * 100_000, "e")).collect();
     sim.run(&stim);
-    let thirds = sim.trace().iter().filter(|t| &*t.signal == "third").count();
+    let thirds = sim.trace().iter().filter(|t| t.signal == "third").count();
     assert_eq!(thirds, 3);
 }
 
@@ -311,7 +311,7 @@ fn output_no_machine_reads_is_traced_but_delivered_nowhere() {
     .unwrap();
     let mut sim = Simulator::build(&net, RtosConfig::default());
     sim.run(&[Stimulus::pure(0, "in")]);
-    let trace: Vec<(&str, &str)> = sim.trace().iter().map(|t| (&*t.signal, &*t.by)).collect();
+    let trace: Vec<(&str, &str)> = sim.trace().iter().map(|t| (t.signal, t.by)).collect();
     assert_eq!(trace, vec![("dangling", "a")]);
     assert_eq!(sim.stats().reactions, vec![1, 0]);
     assert_eq!(sim.stats().overwritten, vec![0, 0]);

@@ -66,7 +66,7 @@ fn main() {
     println!("\n--- co-simulation trace (gauge outputs) ---");
     for t in sim.trace() {
         if matches!(
-            &*t.signal,
+            t.signal,
             "speed" | "rpm" | "duty_speed" | "duty_fuel" | "fuel_level" | "odo_pulse" | "low_fuel"
         ) {
             match t.value {

@@ -67,7 +67,7 @@ fn main() {
         "scenario 2 (fastened promptly): {} alarms",
         sim.trace()
             .iter()
-            .filter(|t| &*t.signal == "alarm_on")
+            .filter(|t| t.signal == "alarm_on")
             .count()
     );
 }

@@ -154,7 +154,7 @@ fn granularity_merge_keeps_behaviour() {
     let speeds = |sim: &Simulator| -> Vec<Option<i64>> {
         sim.trace()
             .iter()
-            .filter(|t| &*t.signal == "speed")
+            .filter(|t| t.signal == "speed")
             .map(|t| t.value)
             .collect()
     };
