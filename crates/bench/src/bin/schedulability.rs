@@ -8,8 +8,7 @@
 //! Liu–Layland utilization and exact response-time analysis, sweeping the
 //! sensor event rates, and cross-check a verdict by co-simulation.
 
-use polis_bench::synthesize_all;
-use polis_core::{workloads, SynthesisOptions};
+use polis_core::{synthesize_network, workloads, SynthesisOptions};
 use polis_rtos::{
     rate_monotonic, rate_monotonic_nonpreemptive, RtosConfig, SchedulingPolicy, Simulator,
     Stimulus, TaskModel,
@@ -18,7 +17,7 @@ use polis_rtos::{
 fn main() {
     let net = workloads::dashboard();
     let opts = SynthesisOptions::default();
-    let (results, _) = synthesize_all(&net, &opts);
+    let results = synthesize_network(&net, &opts, &RtosConfig::default()).machines;
     let overhead = RtosConfig::default().overhead;
     // Per reaction the RTOS charges dispatch, and each triggering event
     // costs one ISR; fold both into the task WCETs.

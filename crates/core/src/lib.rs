@@ -40,7 +40,7 @@ pub mod trace;
 pub mod workloads;
 
 pub use pipeline::{
-    synthesize_cfsm, synthesize_network_staged, Stage, SynthCtx, SynthError, SynthFailure,
+    synthesize_cfsm, synthesize_network_staged, SynthCtx, SynthError, SynthFailure,
 };
 pub use trace::{MetricValue, StageRecord, SynthTrace};
 
@@ -151,8 +151,6 @@ pub struct CfsmSynthesis {
     pub max_cycles_reach_aware: Option<u64>,
     /// Exact object-code measurement.
     pub measured: Measured,
-    /// Wall-clock synthesis time (BDD + sift + build + compile).
-    pub synthesis_time: Duration,
 }
 
 /// Runs the single-CFSM pipeline.

@@ -3,9 +3,9 @@
 //! Each step of the five-step procedure (χ/BDD construction, constrained
 //! sifting, s-graph build, TEST collapsing, instruction selection +
 //! assembly, C emission, cost estimation, exact measurement, RTOS
-//! generation) is a [`Stage`]: a named function from an input to an
-//! output, run through a [`SynthCtx`] that records wall time and the
-//! owning layer's native counters into a [`SynthTrace`].
+//! generation) is a plain function that reports its layer's native
+//! counters through a [`SynthCtx`]; the context times each call and
+//! appends one record per stage to a [`SynthTrace`].
 //!
 //! [`synthesize_cfsm`] chains the per-machine stages for the selected
 //! [`ImplStyle`]; [`synthesize_network_staged`] fans the per-machine
@@ -76,21 +76,10 @@ impl std::error::Error for SynthFailure {
     }
 }
 
-/// One named pipeline stage: a pure function from `I` to `O` that reports
-/// counters through the context it runs under.
-#[derive(Clone, Copy)]
-pub struct Stage<I, O> {
-    /// Stage name as it appears in the trace.
-    pub name: &'static str,
-    /// The stage body. Counters reported via [`SynthCtx::count`] /
-    /// [`SynthCtx::ratio`] during the call are attributed to this stage.
-    pub run: fn(&mut SynthCtx<'_>, I) -> Result<O, SynthError>,
-}
-
 /// Per-run synthesis context: configuration plus the growing trace.
 ///
 /// One `SynthCtx` is threaded through every stage of one machine's
-/// synthesis (and one more through the network-level stages). Under
+/// synthesis, and one more through the network-level stages. Under
 /// `--jobs N` each worker thread owns its own context; traces are merged
 /// in network order afterwards.
 pub struct SynthCtx<'a> {
@@ -100,7 +89,7 @@ pub struct SynthCtx<'a> {
     pub params: &'a CostParams,
     machine: Option<String>,
     trace: SynthTrace,
-    open: Vec<(String, MetricValue)>,
+    open: Vec<(&'static str, MetricValue)>,
 }
 
 impl<'a> SynthCtx<'a> {
@@ -115,54 +104,41 @@ impl<'a> SynthCtx<'a> {
         }
     }
 
-    /// Attributes subsequent stage records to `name` (a CFSM), or to the
-    /// network level when `None`.
-    pub fn set_machine(&mut self, name: Option<&str>) {
-        self.machine = name.map(str::to_owned);
-    }
-
-    /// Reports an integral counter for the stage currently running.
-    pub fn count(&mut self, name: &str, value: u64) {
-        self.open.push((name.to_owned(), MetricValue::Int(value)));
-    }
-
-    /// Reports a ratio/rate counter for the stage currently running.
-    pub fn ratio(&mut self, name: &str, value: f64) {
-        self.open.push((name.to_owned(), MetricValue::Float(value)));
-    }
-
-    /// Runs one stage: times it, collects its counters, appends the
-    /// record, and returns the stage output.
-    pub fn run_stage<I, O>(&mut self, stage: Stage<I, O>, input: I) -> Result<O, SynthError> {
-        let start = Instant::now();
-        let out = (stage.run)(self, input);
-        let wall = start.elapsed();
-        let counters = std::mem::take(&mut self.open);
-        self.trace.push(StageRecord {
-            stage: stage.name,
-            machine: self.machine.clone(),
-            wall,
-            counters,
-        });
-        out
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &SynthTrace {
-        &self.trace
-    }
-
     /// Consumes the context, yielding its trace.
     pub fn into_trace(self) -> SynthTrace {
         self.trace
     }
+
+    /// Reports an integral counter for the stage currently running.
+    fn count(&mut self, name: &'static str, value: u64) {
+        self.open.push((name, MetricValue::Int(value)));
+    }
+
+    /// Reports a ratio/rate counter for the stage currently running.
+    fn ratio(&mut self, name: &'static str, value: f64) {
+        self.open.push((name, MetricValue::Float(value)));
+    }
+
+    /// Runs `body` as the stage `name`: times it, attributes the counters
+    /// it reports to one appended record, and returns its output.
+    fn stage<O>(&mut self, name: &'static str, body: impl FnOnce(&mut Self) -> O) -> O {
+        let start = Instant::now();
+        let out = body(self);
+        self.trace.push(StageRecord {
+            stage: name,
+            machine: self.machine.clone(),
+            wall: start.elapsed(),
+            counters: std::mem::take(&mut self.open),
+        });
+        out
+    }
 }
 
 // ---------------------------------------------------------------------
-// Per-CFSM stages.
+// Stages: each reports its layer's counters through `ctx`.
 // ---------------------------------------------------------------------
 
-fn stage_chi(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<ReactiveFn, SynthError> {
+fn stage_chi(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> ReactiveFn {
     let rf = ReactiveFn::build(cfsm);
     let st = rf.bdd().stats();
     ctx.count("bdd_nodes", rf.size() as u64);
@@ -174,10 +150,10 @@ fn stage_chi(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<ReactiveFn, SynthErr
     ctx.count("cache_evictions", st.cache_evictions);
     ctx.count("peak_live_nodes", st.peak_live_nodes);
     ctx.ratio("unique_probe_len", st.avg_probe_len());
-    Ok(rf)
+    rf
 }
 
-fn stage_sift(ctx: &mut SynthCtx<'_>, mut rf: ReactiveFn) -> Result<ReactiveFn, SynthError> {
+fn stage_sift(ctx: &mut SynthCtx<'_>, mut rf: ReactiveFn) -> ReactiveFn {
     let nodes_before = rf.size() as u64;
     let swaps_before = rf.bdd().stats().swap_count;
     rf.sift_with_passes(ctx.opts.scheme, ctx.opts.sift_passes);
@@ -190,37 +166,21 @@ fn stage_sift(ctx: &mut SynthCtx<'_>, mut rf: ReactiveFn) -> Result<ReactiveFn, 
     ctx.count("reclaimed_nodes", st.reclaimed_nodes);
     ctx.count("peak_live_nodes", st.peak_live_nodes);
     ctx.count("memo_hits", st.memo_hits);
-    Ok(rf)
+    rf
 }
 
-fn record_sgraph(ctx: &mut SynthCtx<'_>, g: &SGraph) {
+/// The `sgraph` stage's counters, common to every style's builder.
+fn record_sgraph(ctx: &mut SynthCtx<'_>, g: SGraph) -> SGraph {
     let st = g.stats();
     ctx.count("nodes", st.nodes as u64);
     ctx.count("reachable", st.reachable as u64);
     ctx.count("tests", st.tests as u64);
     ctx.count("assigns", st.assigns as u64);
     ctx.count("depth", st.depth as u64);
+    g
 }
 
-fn stage_sgraph(ctx: &mut SynthCtx<'_>, rf: ReactiveFn) -> Result<SGraph, SynthError> {
-    let g = build(&rf).map_err(SynthError::SgraphBuild)?;
-    record_sgraph(ctx, &g);
-    Ok(g)
-}
-
-fn stage_ite_chain(ctx: &mut SynthCtx<'_>, mut rf: ReactiveFn) -> Result<SGraph, SynthError> {
-    let g = ite_chain(&mut rf);
-    record_sgraph(ctx, &g);
-    Ok(g)
-}
-
-fn stage_two_level(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<SGraph, SynthError> {
-    let g = two_level_sgraph(cfsm);
-    record_sgraph(ctx, &g);
-    Ok(g)
-}
-
-fn stage_collapse(ctx: &mut SynthCtx<'_>, g: SGraph) -> Result<SGraph, SynthError> {
+fn stage_collapse(ctx: &mut SynthCtx<'_>, g: SGraph) -> SGraph {
     let before = g.stats();
     let c = collapse(&g, CollapseOptions::default());
     let after = c.stats();
@@ -228,25 +188,18 @@ fn stage_collapse(ctx: &mut SynthCtx<'_>, g: SGraph) -> Result<SGraph, SynthErro
     ctx.count("nodes_after", after.reachable as u64);
     ctx.count("tests_before", before.tests as u64);
     ctx.count("tests_after", after.tests as u64);
-    Ok(c)
+    c
 }
 
-#[allow(clippy::type_complexity)]
-fn stage_compile(
-    ctx: &mut SynthCtx<'_>,
-    (cfsm, graph): (&Cfsm, &SGraph),
-) -> Result<(VmProgram, ObjectCode), SynthError> {
+fn stage_compile(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm, graph: &SGraph) -> (VmProgram, ObjectCode) {
     let program = compile(cfsm, graph, ctx.opts.buffering);
     let object = assemble(&program, ctx.opts.profile);
     ctx.count("code_bytes", u64::from(object.size_bytes()));
     ctx.count("ram_bytes", u64::from(program.ram_bytes()));
-    Ok((program, object))
+    (program, object)
 }
 
-fn stage_emit(
-    ctx: &mut SynthCtx<'_>,
-    (cfsm, graph): (&Cfsm, &SGraph),
-) -> Result<String, SynthError> {
+fn stage_emit(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm, graph: &SGraph) -> String {
     let c_code = emit_c(
         cfsm,
         graph,
@@ -259,14 +212,10 @@ fn stage_emit(
     ctx.count("lines", st.lines);
     ctx.count("bytes", st.bytes);
     ctx.count("gotos", st.gotos);
-    Ok(c_code)
+    c_code
 }
 
-#[allow(clippy::type_complexity)]
-fn stage_estimate(
-    ctx: &mut SynthCtx<'_>,
-    (cfsm, graph): (&Cfsm, &SGraph),
-) -> Result<(Estimate, Option<u64>), SynthError> {
+fn stage_estimate(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm, graph: &SGraph) -> (Estimate, Option<u64>) {
     let est = estimate(cfsm, graph, ctx.params, ctx.opts.buffering);
     let incompats = derive_incompatibilities(cfsm);
     let false_path_aware = (!incompats.is_empty())
@@ -279,13 +228,10 @@ fn stage_estimate(
     if let Some(fp) = false_path_aware {
         ctx.count("est_max_cycles_false_path_aware", fp);
     }
-    Ok((est, false_path_aware))
+    (est, false_path_aware)
 }
 
-fn stage_measure(
-    ctx: &mut SynthCtx<'_>,
-    (program, object): (&VmProgram, &ObjectCode),
-) -> Result<Measured, SynthError> {
+fn stage_measure(ctx: &mut SynthCtx<'_>, program: &VmProgram, object: &ObjectCode) -> Measured {
     let bounds = analyze(program, object);
     let measured = Measured {
         size_bytes: u64::from(object.size_bytes()),
@@ -295,10 +241,11 @@ fn stage_measure(
     };
     ctx.count("min_cycles", measured.min_cycles);
     ctx.count("max_cycles", measured.max_cycles);
-    Ok(measured)
+    measured
 }
 
-#[allow(clippy::type_complexity)]
+/// The verify stage: the network's verdicts, plus each machine's
+/// reachability-derived incompatibilities when estimates are refined.
 fn stage_verify(
     ctx: &mut SynthCtx<'_>,
     net: &Network,
@@ -341,11 +288,12 @@ fn stage_verify(
     Ok((report, incompats))
 }
 
-#[allow(clippy::type_complexity)]
 fn stage_refine(
     ctx: &mut SynthCtx<'_>,
-    (net, machines, reach_incompats): (&Network, &mut [CfsmSynthesis], &[Vec<Incompat>]),
-) -> Result<(), SynthError> {
+    net: &Network,
+    machines: &mut [CfsmSynthesis],
+    reach_incompats: &[Vec<Incompat>],
+) {
     let mut refined = 0u64;
     let mut tightened = 0u64;
     for (i, m) in net.cfsms().iter().enumerate() {
@@ -373,19 +321,15 @@ fn stage_refine(
     }
     ctx.count("machines_refined", refined);
     ctx.count("bounds_tightened", tightened);
-    Ok(())
 }
 
-fn stage_rtos(
-    ctx: &mut SynthCtx<'_>,
-    (net, config): (&Network, &RtosConfig),
-) -> Result<String, SynthError> {
+fn stage_rtos(ctx: &mut SynthCtx<'_>, net: &Network, config: &RtosConfig) -> String {
     let rtos_c = emit_rtos_c(net, config);
     let st = measure_c(&rtos_c);
     ctx.count("tasks", net.cfsms().len() as u64);
     ctx.count("lines", st.lines);
     ctx.count("bytes", st.bytes);
-    Ok(rtos_c)
+    rtos_c
 }
 
 // ---------------------------------------------------------------------
@@ -395,113 +339,70 @@ fn stage_rtos(
 /// Runs the full per-CFSM pipeline for the style selected in
 /// `ctx.opts`, recording every stage into the context's trace.
 pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthesis, SynthError> {
-    ctx.set_machine(Some(cfsm.name()));
-    let start = Instant::now();
+    ctx.machine = Some(cfsm.name().to_owned());
     let graph = match ctx.opts.style {
         ImplStyle::DecisionGraph => {
-            let rf = ctx.run_stage(
-                Stage {
-                    name: "chi",
-                    run: stage_chi,
-                },
-                cfsm,
-            )?;
-            let rf = ctx.run_stage(
-                Stage {
-                    name: "sift",
-                    run: stage_sift,
-                },
-                rf,
-            )?;
-            let g = ctx.run_stage(
-                Stage {
-                    name: "sgraph",
-                    run: stage_sgraph,
-                },
-                rf,
-            )?;
+            let rf = ctx.stage("chi", |ctx| stage_chi(ctx, cfsm));
+            let rf = ctx.stage("sift", |ctx| stage_sift(ctx, rf));
+            let g = ctx.stage("sgraph", move |ctx| {
+                let g = build(&rf).map_err(SynthError::SgraphBuild)?;
+                Ok(record_sgraph(ctx, g))
+            })?;
             if ctx.opts.collapse {
-                ctx.run_stage(
-                    Stage {
-                        name: "collapse",
-                        run: stage_collapse,
-                    },
-                    g,
-                )?
+                ctx.stage("collapse", |ctx| stage_collapse(ctx, g))
             } else {
                 g
             }
         }
         ImplStyle::IteChain => {
-            let rf = ctx.run_stage(
-                Stage {
-                    name: "chi",
-                    run: stage_chi,
-                },
-                cfsm,
-            )?;
-            ctx.run_stage(
-                Stage {
-                    name: "sgraph",
-                    run: stage_ite_chain,
-                },
-                rf,
-            )?
+            let mut rf = ctx.stage("chi", |ctx| stage_chi(ctx, cfsm));
+            ctx.stage("sgraph", move |ctx| record_sgraph(ctx, ite_chain(&mut rf)))
         }
-        ImplStyle::TwoLevel => ctx.run_stage(
-            Stage {
-                name: "sgraph",
-                run: stage_two_level,
-            },
-            cfsm,
-        )?,
+        ImplStyle::TwoLevel => {
+            ctx.stage("sgraph", |ctx| record_sgraph(ctx, two_level_sgraph(cfsm)))
+        }
     };
-    let (program, object) = ctx.run_stage(
-        Stage {
-            name: "compile",
-            run: stage_compile,
-        },
-        (cfsm, &graph),
-    )?;
-    // Matches the historical definition: BDD + sift + build + compile.
-    let synthesis_time = start.elapsed();
-    let c_code = ctx.run_stage(
-        Stage {
-            name: "emit_c",
-            run: stage_emit,
-        },
-        (cfsm, &graph),
-    )?;
-    let (est, max_cycles_false_path_aware) = ctx.run_stage(
-        Stage {
-            name: "estimate",
-            run: stage_estimate,
-        },
-        (cfsm, &graph),
-    )?;
-    let measured = ctx.run_stage(
-        Stage {
-            name: "measure",
-            run: stage_measure,
-        },
-        (&program, &object),
-    )?;
-    ctx.set_machine(None);
+    let (program, object) = ctx.stage("compile", |ctx| stage_compile(ctx, cfsm, &graph));
+    let c_code = ctx.stage("emit_c", |ctx| stage_emit(ctx, cfsm, &graph));
+    let (estimate, max_cycles_false_path_aware) =
+        ctx.stage("estimate", |ctx| stage_estimate(ctx, cfsm, &graph));
+    let measured = ctx.stage("measure", |ctx| stage_measure(ctx, &program, &object));
     Ok(CfsmSynthesis {
         graph,
         c_code,
         program,
         object,
-        estimate: est,
+        estimate,
         max_cycles_false_path_aware,
         max_cycles_reach_aware: None,
         measured,
-        synthesis_time,
     })
 }
 
+/// The network-level stages after every machine is synthesized:
+/// `verify` and `refine` when requested, then `rtos`.
+fn network_stages(
+    ctx: &mut SynthCtx<'_>,
+    net: &Network,
+    rtos: &RtosConfig,
+    machines: &mut [CfsmSynthesis],
+) -> Result<(Option<VerifyReport>, String), SynthError> {
+    let mut report = None;
+    if ctx.opts.verify {
+        let (verified, reach_incompats) = ctx.stage("verify", |ctx| stage_verify(ctx, net))?;
+        if ctx.opts.verify_refine_estimates {
+            ctx.stage("refine", |ctx| {
+                stage_refine(ctx, net, machines, &reach_incompats)
+            });
+        }
+        report = Some(verified);
+    }
+    let rtos_c = ctx.stage("rtos", |ctx| stage_rtos(ctx, net, rtos));
+    Ok((report, rtos_c))
+}
+
 /// Runs the per-CFSM pipeline over every machine of `net` on up to
-/// `jobs` scoped worker threads, then the network-level RTOS stage.
+/// `jobs` scoped worker threads, then the network-level stages.
 ///
 /// Each worker owns the BDD managers of the machines it claims (one
 /// manager per [`ReactiveFn`]); nothing is shared between workers except
@@ -528,30 +429,19 @@ pub fn synthesize_network_staged(
     let jobs = jobs.clamp(1, n.max(1));
     let start = Instant::now();
 
-    type Slot = Result<(CfsmSynthesis, SynthTrace), (SynthError, SynthTrace)>;
-    let run_one = |i: usize| -> Slot {
+    let run_one = |i: usize| {
         let mut ctx = SynthCtx::new(opts, &params);
-        let r = synthesize_cfsm(&mut ctx, &cfsms[i]);
-        let t = ctx.into_trace();
-        match r {
-            Ok(s) => Ok((s, t)),
-            Err(e) => Err((e, t)),
-        }
+        let result = synthesize_cfsm(&mut ctx, &cfsms[i]);
+        (result, ctx.into_trace())
     };
-
-    let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
-    if jobs <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_one(i));
-        }
+    let slots: Vec<(Result<CfsmSynthesis, SynthError>, SynthTrace)> = if jobs <= 1 {
+        (0..n).map(run_one).collect()
     } else {
         let next = AtomicUsize::new(0);
-        let done = std::thread::scope(|scope| {
+        let mut done: Vec<_> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..jobs)
                 .map(|_| {
-                    let next = &next;
-                    let run_one = &run_one;
-                    scope.spawn(move || {
+                    scope.spawn(|| {
                         let mut claimed = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -564,76 +454,31 @@ pub fn synthesize_network_staged(
                     })
                 })
                 .collect();
-            let mut done = Vec::new();
-            for w in workers {
-                done.extend(w.join().expect("synthesis worker panicked"));
-            }
-            done
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("synthesis worker panicked"))
+                .collect()
         });
-        for (i, r) in done {
-            slots[i] = Some(r);
-        }
-    }
+        done.sort_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, slot)| slot).collect()
+    };
 
     let mut machines = Vec::with_capacity(n);
     let mut trace = SynthTrace::new();
-    for slot in slots {
-        match slot.expect("every machine index was claimed") {
-            Ok((synth, t)) => {
-                machines.push(synth);
-                trace.extend(t);
-            }
-            Err((error, t)) => {
-                trace.extend(t);
-                return Err(SynthFailure { error, trace });
-            }
+    for (result, t) in slots {
+        trace.extend(t);
+        match result {
+            Ok(synth) => machines.push(synth),
+            Err(error) => return Err(SynthFailure { error, trace }),
         }
     }
     let synthesis_time = start.elapsed();
 
-    let mut verify_report = None;
-    if opts.verify {
-        let mut net_ctx = SynthCtx::new(opts, &params);
-        let verified = net_ctx.run_stage(
-            Stage {
-                name: "verify",
-                run: stage_verify,
-            },
-            net,
-        );
-        trace.extend(net_ctx.into_trace());
-        let (report, reach_incompats) = match verified {
-            Ok(v) => v,
-            Err(error) => return Err(SynthFailure { error, trace }),
-        };
-        verify_report = Some(report);
-        if opts.verify_refine_estimates {
-            let mut net_ctx = SynthCtx::new(opts, &params);
-            let refined = net_ctx.run_stage(
-                Stage {
-                    name: "refine",
-                    run: stage_refine,
-                },
-                (net, machines.as_mut_slice(), reach_incompats.as_slice()),
-            );
-            trace.extend(net_ctx.into_trace());
-            if let Err(error) = refined {
-                return Err(SynthFailure { error, trace });
-            }
-        }
-    }
-
-    let mut net_ctx = SynthCtx::new(opts, &params);
-    let rtos_result = net_ctx.run_stage(
-        Stage {
-            name: "rtos",
-            run: stage_rtos,
-        },
-        (net, rtos),
-    );
-    trace.extend(net_ctx.into_trace());
-    let rtos_c = match rtos_result {
-        Ok(c) => c,
+    let mut ctx = SynthCtx::new(opts, &params);
+    let network = network_stages(&mut ctx, net, rtos, &mut machines);
+    trace.extend(ctx.into_trace());
+    let (verify, rtos_c) = match network {
+        Ok(done) => done,
         Err(error) => return Err(SynthFailure { error, trace }),
     };
 
@@ -643,7 +488,7 @@ pub fn synthesize_network_staged(
     Ok((
         NetworkSynthesis {
             machines,
-            verify: verify_report,
+            verify,
             rtos_c,
             total_rom,
             total_ram,

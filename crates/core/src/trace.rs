@@ -29,7 +29,7 @@ pub struct StageRecord {
     /// Wall-clock time spent in the stage.
     pub wall: Duration,
     /// Layer-native counters, in report order.
-    pub counters: Vec<(String, MetricValue)>,
+    pub counters: Vec<(&'static str, MetricValue)>,
 }
 
 impl StageRecord {
@@ -37,7 +37,7 @@ impl StageRecord {
     pub fn counter(&self, name: &str) -> Option<MetricValue> {
         self.counters
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|&&(n, _)| n == name)
             .map(|&(_, v)| v)
     }
 }
@@ -184,8 +184,8 @@ mod tests {
             machine: Some("be\"lt".into()),
             wall: Duration::from_micros(7),
             counters: vec![
-                ("mk_calls".into(), MetricValue::Int(3)),
-                ("hit_rate".into(), MetricValue::Float(0.25)),
+                ("mk_calls", MetricValue::Int(3)),
+                ("hit_rate", MetricValue::Float(0.25)),
             ],
         });
         t.push(StageRecord {

@@ -61,14 +61,18 @@ fn more_jobs_than_machines_is_fine() {
 /// differ.
 #[test]
 fn parallel_trace_matches_sequential_modulo_wall_time() {
-    type TraceShape = Vec<(String, Option<String>, Vec<(String, MetricValue)>)>;
+    type TraceShape = Vec<(
+        &'static str,
+        Option<String>,
+        Vec<(&'static str, MetricValue)>,
+    )>;
     let net = workloads::shock_absorber();
     let opts = SynthesisOptions::default();
     let rtos = RtosConfig::default();
     let shape = |t: &SynthTrace| -> TraceShape {
         t.records()
             .iter()
-            .map(|r| (r.stage.to_owned(), r.machine.clone(), r.counters.clone()))
+            .map(|r| (r.stage, r.machine.clone(), r.counters.clone()))
             .collect()
     };
     let (_, t1) = synthesize_network_staged(&net, &opts, &rtos, 1).unwrap();
