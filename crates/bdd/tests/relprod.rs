@@ -59,6 +59,18 @@ fn setup(nvars: usize, case: u64) -> (Bdd, Vec<Var>, NodeRef, NodeRef, Vec<Var>)
     (bdd, vars, f, g, subset)
 }
 
+/// Per-variable `∃v. f` oracle: the disjunction of the two cofactors.
+fn exists_oracle(bdd: &mut Bdd, f: NodeRef, v: Var) -> NodeRef {
+    let (f0, f1) = (bdd.restrict(f, v, false), bdd.restrict(f, v, true));
+    bdd.or(f0, f1)
+}
+
+/// Per-variable `∀v. f` oracle: the conjunction of the two cofactors.
+fn forall_oracle(bdd: &mut Bdd, f: NodeRef, v: Var) -> NodeRef {
+    let (f0, f1) = (bdd.restrict(f, v, false), bdd.restrict(f, v, true));
+    bdd.and(f0, f1)
+}
+
 #[test]
 fn cube_is_the_conjunction_of_its_literals() {
     for &nvars in &VAR_COUNTS {
@@ -82,7 +94,9 @@ fn exists_cube_matches_per_variable_exists() {
             let (mut bdd, _, f, _, subset) = setup(nvars, case);
             let c = bdd.cube(subset.iter().copied());
             let single = bdd.exists_cube(f, c);
-            let folded = subset.iter().fold(f, |acc, &v| bdd.exists(acc, v));
+            let folded = subset
+                .iter()
+                .fold(f, |acc, &v| exists_oracle(&mut bdd, acc, v));
             assert_eq!(single, folded, "nvars={nvars} case={case}");
         }
     }
@@ -91,14 +105,16 @@ fn exists_cube_matches_per_variable_exists() {
 #[test]
 fn exists_cube_of_a_complement_is_the_dual_forall() {
     // ∃c. !f == !(∀c. f): the cube quantifier's universal branch, reached
-    // through complemented operands, against per-variable `forall`.
+    // through complemented operands, against a per-variable ∀ fold.
     for &nvars in &VAR_COUNTS {
         for case in 0..CASES {
             let (mut bdd, _, f, _, subset) = setup(nvars, case);
             let c = bdd.cube(subset.iter().copied());
             let nf = bdd.not(f);
             let single = bdd.exists_cube(nf, c);
-            let folded = subset.iter().fold(f, |acc, &v| bdd.forall(acc, v));
+            let folded = subset
+                .iter()
+                .fold(f, |acc, &v| forall_oracle(&mut bdd, acc, v));
             assert_eq!(single, bdd.not(folded), "nvars={nvars} case={case}");
         }
     }
@@ -171,7 +187,9 @@ fn exists_cube_over_an_iterator_built_cube_matches_folded_exists() {
     let (mut bdd, _, f, _, subset) = setup(6, 7);
     let c = bdd.cube(subset.iter().chain(subset.iter()).copied());
     let single = bdd.exists_cube(f, c);
-    let folded = subset.iter().fold(f, |acc, &v| bdd.exists(acc, v));
+    let folded = subset
+        .iter()
+        .fold(f, |acc, &v| exists_oracle(&mut bdd, acc, v));
     assert_eq!(single, folded);
 }
 

@@ -134,12 +134,16 @@ fn quant_stress(nvars: usize, rounds: usize) -> CaseResult {
         let t = b.or(ac, cd);
         f = b.xor(f, t);
     }
+    let nf = b.not(f);
+    let cubes: Vec<_> = vars.iter().map(|&v| b.cube([v])).collect();
     let mut acc = NodeRef::FALSE;
     for _ in 0..rounds {
-        for &v in &vars {
-            let e = b.exists(f, v);
+        for (&v, &c) in vars.iter().zip(&cubes) {
+            let e = b.exists_cube(f, c);
             let r0 = b.restrict(f, v, false);
-            let u = b.forall(f, v);
+            // ∀v. f = ¬∃v. ¬f
+            let ne = b.exists_cube(nf, c);
+            let u = b.not(ne);
             let x = b.xor(e, r0);
             let y = b.xor(x, u);
             acc = b.xor(acc, y);
