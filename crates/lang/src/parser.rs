@@ -415,7 +415,8 @@ impl Parser {
     }
 
     /// An emission or assignment; its target must already be declared in
-    /// the module (an output or a `var`).
+    /// the module (an output or a `var`), and an emission carries a value
+    /// exactly when its output is valued.
     fn action(&mut self, env: &mut ModuleEnv) -> Result<ParsedAction, ParseError> {
         match self.peek().clone() {
             Tok::Emit => {
@@ -429,7 +430,20 @@ impl Parser {
                         message: format!("unknown output `{sig}` in emit"),
                     });
                 }
-                let action = if *self.peek() == Tok::LParen {
+                let valued = env.valued_outputs.contains(&sig);
+                if valued != (*self.peek() == Tok::LParen) {
+                    let (kind, with) = if valued {
+                        ("valued", "without")
+                    } else {
+                        ("pure", "with")
+                    };
+                    return Err(ParseError {
+                        line,
+                        col,
+                        message: format!("{kind} output `{sig}` emitted {with} a value"),
+                    });
+                }
+                let action = if valued {
                     self.bump();
                     let e = self.expr(env)?;
                     self.expect(Tok::RParen)?;

@@ -492,6 +492,32 @@ fn undeclared_action_targets_are_diagnosed_without_panicking() {
     }
 }
 
+/// An emission's value must match its output's declaration; a mismatch
+/// is a parse error at the emitted signal, not a builder failure.
+#[test]
+fn emission_arity_is_diagnosed_with_a_position() {
+    let dir = tmpdir("arity");
+    let simple = std::fs::read_to_string("examples/specs/simple.pol").unwrap();
+    for (from, to, want) in [
+        (
+            "emit y;",
+            "emit y(1);",
+            "6:73: pure output `y` emitted with a value",
+        ),
+        (
+            "output y;",
+            "output y : u8;",
+            "6:73: valued output `y` emitted without a value",
+        ),
+    ] {
+        let spec = write(&dir, "mutated.pol", &simple.replacen(from, to, 1));
+        let out = bin().args(["synth", &spec]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(want), "{stderr}");
+    }
+}
+
 #[test]
 fn style_and_target_flags_change_output() {
     let dir = tmpdir("style");
