@@ -20,6 +20,14 @@ cargo test -q --workspace
 echo "==> kernel bench smoke (regression thresholds + 4-byte NodeRef / 12-byte node gate)"
 ./target/release/kernel --smoke --check --out /tmp/bench_bdd_kernel_smoke.json
 
+echo "==> paper-table bins run to completion"
+# Only the exit status is gated: some bins print recorded VIOLATED
+# shape checks by design (see EXPERIMENTS.md).
+for bin in table1 table2 table3 ablation_buffering ablation_collapse \
+  falsepath granularity schedulability shock_absorber; do
+  ./target/release/"$bin" >/dev/null || { echo "FAIL: $bin exited non-zero"; exit 1; }
+done
+
 echo "==> generated C is byte-identical across --jobs values on every example spec"
 rm -rf /tmp/polis_ci_synth
 for spec in examples/specs/*.pol; do
